@@ -20,7 +20,6 @@ from .carrier import (
     FrameTokens,
     MemoryBank,
     build_carrier_embedding,
-    memory_insert,
     oracle_select_victim,
 )
 from .config import ModelConfig
@@ -31,7 +30,6 @@ from .engine import (
     OracleResult,
     StreamSession,
     derive_replay,
-    open_session,
     oracle_full_forward,
 )
 from .errors import (
@@ -41,7 +39,6 @@ from .errors import (
     DegenerateInputError,
     FormatError,
     LayoutError,
-    NumericError,
     OracleError,
     OrderingError,
     PayloadLengthError,
@@ -58,7 +55,6 @@ from .instrumentation import (
     CaptureFilter,
     FlopCounter,
     averaged_generated_attention,
-    bench_parallel,
     bench_serving,
     record_attention,
     step_flops,
@@ -70,7 +66,6 @@ from .masking import (
     SegmentLayout,
     build_semantic_mask,
     build_streaming_mask,
-    mask_to_pbm,
     remove_carrier_visibility,
 )
 from .model import (

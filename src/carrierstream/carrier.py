@@ -11,10 +11,11 @@ member of the highest-scoring pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EVICTION_RULES
 from .errors import (
     CapacityError,
     DegenerateInputError,
@@ -24,9 +25,6 @@ from .errors import (
 )
 from .numerics import cosine_similarity
 
-CARRIER_MODES = ("mean", "last_token")
-EVICTION_RULES = ("adjacent_pairs", "vs_incoming")
-
 
 @dataclass
 class FrameTokens:
@@ -34,7 +32,6 @@ class FrameTokens:
 
     frame_index: int
     embeddings: np.ndarray  # (N, d) float32
-    source_hw: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.embeddings.ndim != 2:
@@ -47,13 +44,15 @@ class FrameTokens:
 
 @dataclass
 class CarrierRecord:
-    """A retained carrier: embedding, baked position, and per-layer K/V."""
+    """A retained carrier: embedding and baked position.
+
+    Its per-layer K/V live only in the session's `KvCache`, under the
+    carrier's frame index as origin.
+    """
 
     frame_index: int
     embedding: np.ndarray  # (d,) float32
     position: int
-    keys: list[np.ndarray] = field(default_factory=list)  # per layer, (h, dk)
-    values: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -77,8 +76,7 @@ def build_carrier_embedding(frame_embeddings: np.ndarray, mode: str = "mean") ->
 class MemoryBank:
     """Fixed-capacity, arrival-ordered store of carrier records.
 
-    Carriers stay sorted by frame index (strictly increasing). Every
-    eviction is appended to `eviction_log` as a JSON-ready dict.
+    Carriers stay sorted by frame index (strictly increasing).
     """
 
     def __init__(self, capacity: int, rule: str = "adjacent_pairs"):
@@ -89,7 +87,6 @@ class MemoryBank:
         self.capacity = capacity
         self.rule = rule
         self.carriers: list[CarrierRecord] = []
-        self.eviction_log: list[dict] = []
 
     def __len__(self) -> int:
         return len(self.carriers)
@@ -127,16 +124,7 @@ class MemoryBank:
         victim_idx, score = self._select_victim(record)
         victim = self.carriers.pop(victim_idx)
         self.carriers.append(record)
-        report = EvictionReport(frame_evicted=victim.frame_index, score=score, rule=self.rule)
-        self.eviction_log.append(
-            {
-                "frame_evicted": victim.frame_index,
-                "score": score,
-                "rule": self.rule,
-                "bank_size": len(self.carriers),
-            }
-        )
-        return report
+        return EvictionReport(frame_evicted=victim.frame_index, score=score, rule=self.rule)
 
     def _select_victim(self, incoming: CarrierRecord) -> tuple[int, float]:
         """Pick the bank slot to evict for the incoming carrier.
@@ -180,11 +168,6 @@ class MemoryBank:
             }
             for c in self.carriers
         ]
-
-
-def memory_insert(bank: MemoryBank, record: CarrierRecord) -> EvictionReport | None:
-    """Functional alias for `MemoryBank.insert`."""
-    return bank.insert(record)
 
 
 def oracle_select_victim(

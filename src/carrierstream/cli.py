@@ -28,7 +28,7 @@ from .instrumentation import (
     AttentionCapture,
     BenchSchedule,
     CaptureFilter,
-    bench_parallel,
+    bench_serving,
     record_attention,
     write_attention_csv,
     write_bench_json,
@@ -272,9 +272,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         question_ids=tuple(run.system_tokens[:1]) or (0,),
         max_new=args.max_new,
     )
-    summaries = bench_parallel(model, schedule, seed, args.parallel)
-    write_bench_json(args.out, summaries)
-    print(json.dumps({"sessions": len(summaries), "out": args.out}))
+    summary = bench_serving(model, schedule, seed).summary()
+    write_bench_json(args.out, summary)
+    print(json.dumps({"frames": summary["frames"], "out": args.out}))
     return 0
 
 
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200, help="frames to stream")
     p.add_argument("--ask-at", help="comma-separated frame indices to ask after")
     p.add_argument("--max-new", type=int, default=4)
-    p.add_argument("--parallel", type=int, default=1, help="independent concurrent sessions")
     p.add_argument("--out", required=True, help="summary JSON path")
     p.set_defaults(fn=_cmd_bench)
 

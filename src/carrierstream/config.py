@@ -9,6 +9,10 @@ from .errors import ConfigError
 CARRIER_MODES = ("mean", "last_token")
 CARRIER_KV_MODES = ("inherited", "embedding_only")
 EVICTION_RULES = ("adjacent_pairs", "vs_incoming")
+_INT_FIELDS = (
+    "layers", "heads", "d_model", "ff_dim", "vocab_size", "max_positions",
+    "tokens_per_frame", "memory_capacity", "adapter_rank", "eos_token_id",
+)
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,12 @@ class ModelConfig:
     eos_token_id: int = -1  # -1: decoding never stops early
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.memory_enabled, bool):
+            raise ConfigError(f"memory_enabled must be a bool, got {self.memory_enabled!r}")
         if self.layers < 1 or self.heads < 1 or self.d_model < 1:
             raise ConfigError("layers, heads and d_model must all be >= 1")
         if self.d_model % self.heads != 0:

@@ -74,6 +74,15 @@ class EvictionReplay:
     before_ask: tuple[int, ...] = ()
 
 
+def _check_token_ids(ids: list[int], vocab_size: int, what: str) -> None:
+    bad = [
+        t for t in ids
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < vocab_size
+    ]
+    if bad:
+        raise ConfigError(f"{what} token ids {bad} outside [0, {vocab_size})")
+
+
 class StreamSession:
     """Live streaming state: weights, KV cache, carrier bank, trace."""
 
@@ -89,6 +98,7 @@ class StreamSession:
     ):
         if not weights.config.compatible_with(config):
             raise ConfigError("weights were built for a different model shape")
+        _check_token_ids(system_tokens or [], config.vocab_size, "system")
         self.config = config
         self.weights = weights
         self.cache = KvCache(config)
@@ -101,8 +111,6 @@ class StreamSession:
         self._open = True
         self._next_position = 0
         self._last_frame_index = -1
-        self._ingest_order: list[int] = []
-        self._eviction_pairs: list[tuple[int, int]] = []  # (during frame, evicted frame)
         self._pending_frames: list[FrameTokens] = []  # memory-disabled mode only
         self._materialized = False
         self._ask_replay_done = False
@@ -179,50 +187,25 @@ class StreamSession:
         t0 = time.perf_counter_ns()
         f0 = self._flops_total()
 
-        if not self.config.memory_enabled:
-            self._pending_frames.append(frame)
-            self._last_frame_index = frame.frame_index
-            self._ingest_order.append(frame.frame_index)
-            report = IngestReport(
-                frame_index=frame.frame_index,
-                bank_size=0,
-                evicted=None,
-                eviction_score=None,
-                kv_bytes=self.kv_footprint()["bytes"],
-                latency_us=(time.perf_counter_ns() - t0) / 1000.0,
-            )
-            self._emit(
-                {
-                    "event": "ingest",
-                    "frame": frame.frame_index,
-                    "bank_size": 0,
-                    "evicted": None,
-                    "score": None,
-                    "kv_bytes": report.kv_bytes,
-                    "latency_us": report.latency_us,
-                }
-            )
-            return report
-
-        if self.replay is not None:
-            for j in self.replay.before_frame.get(frame.frame_index, ()):
-                self._force_evict(j, at=f"frame:{frame.frame_index}")
-
-        record = self.prefill_frame(frame)
-        outcome = self.bank.insert(
-            record,
-            allow_eviction=self.replay is None,
-            allow_overflow=self.replay is not None,
-        )
         evicted: int | None = None
         score: float | None = None
-        if outcome is not None:
-            evicted, score = outcome.frame_evicted, outcome.score
-            self.cache.delete_origin(evicted)
-            self._eviction_pairs.append((frame.frame_index, evicted))
+        if not self.config.memory_enabled:
+            self._pending_frames.append(frame)
+        else:
+            if self.replay is not None:
+                for j in self.replay.before_frame.get(frame.frame_index, ()):
+                    self._force_evict(j, at=f"frame:{frame.frame_index}")
+            record = self.prefill_frame(frame)
+            outcome = self.bank.insert(
+                record,
+                allow_eviction=self.replay is None,
+                allow_overflow=self.replay is not None,
+            )
+            if outcome is not None:
+                evicted, score = outcome.frame_evicted, outcome.score
+                self.cache.delete_origin(evicted)
 
         self._last_frame_index = frame.frame_index
-        self._ingest_order.append(frame.frame_index)
         report = IngestReport(
             frame_index=frame.frame_index,
             bank_size=len(self.bank),
@@ -264,13 +247,8 @@ class StreamSession:
             self._next_position = carrier_position  # raw token positions stay reserved
             self._forward_segment(carrier[None, :], "carrier", 1, origin=frame.frame_index)
 
-        keys, values = self.cache.entry_kv(len(self.cache) - 1)
         return CarrierRecord(
-            frame_index=frame.frame_index,
-            embedding=carrier.copy(),
-            position=carrier_position,
-            keys=keys,
-            values=values,
+            frame_index=frame.frame_index, embedding=carrier.copy(), position=carrier_position
         )
 
     def _materialize_pending(self) -> None:
@@ -303,6 +281,7 @@ class StreamSession:
             raise ConfigError(f"max_new must be nonnegative, got {max_new}")
         if len(question_ids) == 0:
             raise ShapeError("question must contain at least one token")
+        _check_token_ids(question_ids, self.config.vocab_size, "question")
 
         if not self.config.memory_enabled and not self._materialized:
             self._materialize_pending()
@@ -388,34 +367,27 @@ class StreamSession:
             self._trace_fh = None
 
 
-def open_session(
-    config: ModelConfig,
-    weights: Weights,
-    system_tokens: list[int] | None = None,
-    **kwargs,
-) -> StreamSession:
-    return StreamSession(config, weights, system_tokens, **kwargs)
-
-
 def derive_replay(session: StreamSession) -> EvictionReplay:
     """Turn a finished session's eviction history into a replay schedule.
 
-    Each recorded eviction happened at the end of some ingest t; replay
-    applies it at the start of the next ingest instead (or before the
-    ask, for the final frame). Every forward pass still sees exactly the
-    bank contents it saw in the recorded run, so an unperturbed replay
-    is bit-identical while making evictions independent of scores.
+    The history is the session trace: each `ingest` event names its
+    frame and the carrier that ingest evicted. Each recorded eviction
+    happened at the end of some ingest t; replay applies it at the start
+    of the next ingest instead (or before the ask, for the final frame).
+    Every forward pass still sees exactly the bank contents it saw in the
+    recorded run, so an unperturbed replay is bit-identical while making
+    evictions independent of scores.
     """
-    order = session._ingest_order
-    successor = {order[i]: order[i + 1] for i in range(len(order) - 1)}
+    ingests = [e for e in session.trace if e["event"] == "ingest"]
     before_frame: dict[int, list[int]] = {}
     before_ask: list[int] = []
-    for during, evicted in session._eviction_pairs:
-        nxt = successor.get(during)
+    for event, nxt in zip(ingests, ingests[1:] + [None]):
+        if event["evicted"] is None:
+            continue
         if nxt is None:
-            before_ask.append(evicted)
+            before_ask.append(event["evicted"])
         else:
-            before_frame.setdefault(nxt, []).append(evicted)
+            before_frame.setdefault(nxt["frame"], []).append(event["evicted"])
     return EvictionReplay(
         before_frame={k: tuple(v) for k, v in before_frame.items()},
         before_ask=tuple(before_ask),

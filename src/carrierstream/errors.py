@@ -55,10 +55,6 @@ class PayloadLengthError(FormatError):
     """A binary file's payload does not match its header."""
 
 
-class NumericError(CarrierStreamError, ArithmeticError):
-    """A computation produced NaN/inf where finiteness is guaranteed."""
-
-
 class SelectionError(CarrierStreamError, ValueError):
     """A filter or aggregation selected an empty set where at least one
     element is required."""

@@ -289,21 +289,7 @@ def bench_serving(config: ModelConfig, schedule: BenchSchedule, seed: int) -> Be
     return report
 
 
-def bench_parallel(config: ModelConfig, schedule: BenchSchedule, seed: int, workers: int) -> list[dict]:
-    """Run `workers` independent sessions concurrently, seeds seed+i."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    if workers < 1:
-        raise SelectionError(f"workers must be positive, got {workers}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(bench_serving, config, schedule, seed + i) for i in range(workers)
-        ]
-        return [f.result().summary() for f in futures]
-
-
-def write_bench_json(path: str, summaries: list[dict]) -> None:
-    payload = summaries[0] if len(summaries) == 1 else {"sessions": summaries}
+def write_bench_json(path: str, summary: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

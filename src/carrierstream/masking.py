@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import LayoutError
 
-SEGMENT_TAGS = ("system", "frame", "carrier", "text")
 CACHEABLE_TAGS = ("system", "carrier", "text")
 
 
@@ -259,12 +258,3 @@ def remove_carrier_visibility(mask: MaskSpec, frame_ordinal: int) -> MaskSpec:
         query_tags=mask.query_tags,
         key_tags=mask.key_tags,
     )
-
-
-def mask_to_pbm(mask: MaskSpec) -> str:
-    """Render the allow-matrix as a PBM-style text grid (1 = allowed)."""
-    q, k = mask.allow.shape
-    lines = ["P1", f"{k} {q}"]
-    for row in mask.allow:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    return "\n".join(lines) + "\n"

@@ -109,6 +109,35 @@ def _matrix_order(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return order
 
 
+def _weights_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Weights:
+    """Assemble `Weights` from arrays keyed by their `_matrix_order` paths."""
+    layers = []
+    for layer in range(config.layers):
+        p = f"layers.{layer}."
+        adapters = None
+        if config.adapter_rank > 0:
+            adapters = {
+                name: (arrays[p + f"adapters.{name}.a"], arrays[p + f"adapters.{name}.b"])
+                for name in ADAPTED_PROJECTIONS
+            }
+        layers.append(
+            LayerWeights(
+                wq=arrays[p + "wq"], wk=arrays[p + "wk"], wv=arrays[p + "wv"], wo=arrays[p + "wo"],
+                w1=arrays[p + "w1"], w2=arrays[p + "w2"],
+                ln1_g=arrays[p + "ln1_g"], ln1_b=arrays[p + "ln1_b"],
+                ln2_g=arrays[p + "ln2_g"], ln2_b=arrays[p + "ln2_b"],
+                adapters=adapters,
+            )
+        )
+    return Weights(
+        config=config,
+        layers=layers,
+        tok_emb=arrays["tok_emb"],
+        pos_emb=arrays["pos_emb"],
+        unembed=arrays["unembed"],
+    )
+
+
 def iter_params(weights: Weights) -> Iterable[tuple[str, np.ndarray]]:
     """Yield (path, array) for every parameter, in declaration order."""
     for layer, lw in enumerate(weights.layers):
@@ -170,31 +199,7 @@ def init_model(config: ModelConfig, seed: int) -> Weights:
         else:
             arrays[name] = draw(shape)
 
-    layers = []
-    for layer in range(config.layers):
-        p = f"layers.{layer}."
-        adapters = None
-        if config.adapter_rank > 0:
-            adapters = {
-                name: (arrays[p + f"adapters.{name}.a"], arrays[p + f"adapters.{name}.b"])
-                for name in ADAPTED_PROJECTIONS
-            }
-        layers.append(
-            LayerWeights(
-                wq=arrays[p + "wq"], wk=arrays[p + "wk"], wv=arrays[p + "wv"], wo=arrays[p + "wo"],
-                w1=arrays[p + "w1"], w2=arrays[p + "w2"],
-                ln1_g=arrays[p + "ln1_g"], ln1_b=arrays[p + "ln1_b"],
-                ln2_g=arrays[p + "ln2_g"], ln2_b=arrays[p + "ln2_b"],
-                adapters=adapters,
-            )
-        )
-    return Weights(
-        config=config,
-        layers=layers,
-        tok_emb=arrays["tok_emb"],
-        pos_emb=arrays["pos_emb"],
-        unembed=arrays["unembed"],
-    )
+    return _weights_from_arrays(config, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -264,32 +269,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if trailing:
             raise PayloadLengthError("checkpoint has trailing bytes past the declared payload")
 
-    layers = []
-    for layer in range(config.layers):
-        p = f"layers.{layer}."
-        adapters = None
-        if config.adapter_rank > 0:
-            adapters = {
-                name: (arrays[p + f"adapters.{name}.a"], arrays[p + f"adapters.{name}.b"])
-                for name in ADAPTED_PROJECTIONS
-            }
-        layers.append(
-            LayerWeights(
-                wq=arrays[p + "wq"], wk=arrays[p + "wk"], wv=arrays[p + "wv"], wo=arrays[p + "wo"],
-                w1=arrays[p + "w1"], w2=arrays[p + "w2"],
-                ln1_g=arrays[p + "ln1_g"], ln1_b=arrays[p + "ln1_b"],
-                ln2_g=arrays[p + "ln2_g"], ln2_b=arrays[p + "ln2_b"],
-                adapters=adapters,
-            )
-        )
-    weights = Weights(
-        config=config,
-        layers=layers,
-        tok_emb=arrays["tok_emb"],
-        pos_emb=arrays["pos_emb"],
-        unembed=arrays["unembed"],
-    )
-    return Checkpoint(weights=weights, stub=stub)
+    return Checkpoint(weights=_weights_from_arrays(config, arrays), stub=stub)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +324,14 @@ class KvCache:
 
     def delete_origin(self, frame_index: int) -> int:
         """Drop every entry that originated from the given frame."""
-        drop = self.origins == frame_index
-        n = int(drop.sum())
-        if n == 0:
-            return 0
-        keep = ~drop
-        for layer in range(self.config.layers):
-            self.k[layer] = self.k[layer][keep]
-            self.v[layer] = self.v[layer][keep]
-        self.tags = [t for t, f in zip(self.tags, keep) if f]
-        self.positions = self.positions[keep]
-        self.origins = self.origins[keep]
-        return n
+        return self._drop(self.origins == frame_index)
 
     def delete_tag(self, tag: str) -> int:
         """Drop every entry with the given segment tag."""
-        drop = np.array([t == tag for t in self.tags], dtype=bool)
+        return self._drop(np.array([t == tag for t in self.tags], dtype=bool))
+
+    def _drop(self, drop: np.ndarray) -> int:
+        """Remove the entries flagged in `drop`; returns how many went."""
         n = int(drop.sum())
         if n == 0:
             return 0

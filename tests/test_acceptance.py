@@ -175,7 +175,7 @@ def test_criterion_04_eviction_matches_exhaustive_scan(rule):
 
     def rec(t, emb):
         return CarrierRecord(frame_index=t, embedding=emb.astype(np.float32),
-                             position=t, keys=[], values=[])
+                             position=t)
 
     for t in range(m):
         bank.insert(rec(t, rng.standard_normal(d)))

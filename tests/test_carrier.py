@@ -14,14 +14,13 @@ from carrierstream import (
     ShapeError,
     build_carrier_embedding,
     cosine_similarity,
-    memory_insert,
     oracle_select_victim,
 )
 
 
 def record(frame: int, emb: np.ndarray) -> CarrierRecord:
     return CarrierRecord(frame_index=frame, embedding=emb.astype(np.float32),
-                         position=frame, keys=[], values=[])
+                         position=frame)
 
 
 def test_mean_carrier_is_column_mean():
@@ -113,12 +112,12 @@ def test_identical_embeddings_tie_evicts_oldest():
 def test_eviction_log_and_snapshot():
     bank = MemoryBank(capacity=2, rule="vs_incoming")
     rng = np.random.default_rng(2)
-    for t in range(4):
-        memory_insert(bank, record(t, rng.standard_normal(4)))
-    assert len(bank.eviction_log) == 2
-    for entry in bank.eviction_log:
-        assert set(entry) == {"frame_evicted", "score", "rule", "bank_size"}
-        assert entry["bank_size"] == 2
+    reports = [bank.insert(record(t, rng.standard_normal(4))) for t in range(4)]
+    assert reports[:2] == [None, None]
+    for report in reports[2:]:
+        assert report.rule == "vs_incoming"
+        assert report.frame_evicted not in bank.frame_indices()
+    assert len(bank) == 2
     snap = bank.snapshot()
     assert [s["frame_index"] for s in snap] == bank.frame_indices()
     snap[0]["embedding"][:] = 99.0  # snapshot is a copy

@@ -16,7 +16,6 @@ from carrierstream import (
     derive_replay,
     init_model,
     make_random_frames,
-    open_session,
     oracle_full_forward,
 )
 from conftest import copy_frames
@@ -198,18 +197,27 @@ def test_eos_stops_generation(tiny_config, tiny_weights, tiny_frames):
     assert stopped.tokens == free.tokens[:2]
 
 
-def test_trace_jsonl_written(tmp_path, tiny_config, tiny_weights, tiny_frames):
+def test_trace_jsonl_written(tmp_path, tiny_weights):
+    config = ModelConfig(**{**tiny_weights.config.to_dict(), "memory_capacity": 3})
+    frames = make_random_frames(8, config.tokens_per_frame, config.d_model, seed=5)
     path = str(tmp_path / "trace.jsonl")
-    session = stream_all(tiny_config, tiny_weights, tiny_frames, trace_path=path)
+    session = stream_all(config, tiny_weights, frames, trace_path=path)
     session.ask([5], max_new=1)
     session.close()
     events = [json.loads(line) for line in open(path)]
+    assert events == session.trace
     kinds = [e["event"] for e in events]
     assert kinds[0] == "open"
-    assert kinds.count("ingest") == len(tiny_frames)
     assert kinds[-1] == "ask"
     ingest = [e for e in events if e["event"] == "ingest"]
+    assert [e["frame"] for e in ingest] == [f.frame_index for f in frames]
     assert all(e["kv_bytes"] > 0 and e["latency_us"] >= 0 for e in ingest)
+    evicted = [e["evicted"] for e in ingest if e["evicted"] is not None]
+    assert len(evicted) == len(frames) - config.memory_capacity
+    assert sorted(evicted + session.bank.frame_indices()) == [f.frame_index for f in frames]
+    replay = derive_replay(session)
+    scheduled = [j for js in replay.before_frame.values() for j in js] + list(replay.before_ask)
+    assert sorted(scheduled) == sorted(evicted)
 
 
 def test_session_rejects_bad_input(tiny_config, tiny_weights, tiny_frames):
@@ -222,6 +230,17 @@ def test_session_rejects_bad_input(tiny_config, tiny_weights, tiny_frames):
         session.ingest_frame(tiny_frames[0])  # frame index goes backwards
     with pytest.raises(ShapeError):
         session.ingest_frame(FrameTokens(10, np.zeros((3, 16), np.float32)))
+
+    vocab = tiny_config.vocab_size
+    for bad in ([-1], [vocab], [999], [5, -5], [1.5]):
+        with pytest.raises(ConfigError):
+            StreamSession(tiny_config, tiny_weights, system_tokens=bad)
+        entries, position = len(session.cache), session._next_position
+        with pytest.raises(ConfigError):
+            session.ask(bad, max_new=1)
+        assert len(session.cache) == entries
+        assert session._next_position == position
+    session.ask([0, vocab - 1], max_new=1)
 
 
 def test_carrier_and_kv_mode_ablations_differ(tiny_config, tiny_weights, tiny_frames):
@@ -242,9 +261,3 @@ def test_first_logits_requires_keep(tiny_config, tiny_weights, tiny_frames):
     out = session.ask([5], max_new=1)
     with pytest.raises(StateError):
         _ = out.first_logits
-
-
-def test_open_session_alias(tiny_config, tiny_weights):
-    session = open_session(tiny_config, tiny_weights, SYSTEM)
-    assert isinstance(session, StreamSession)
-    session.close()

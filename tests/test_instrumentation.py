@@ -13,7 +13,6 @@ from carrierstream import (
     SelectionError,
     StreamSession,
     averaged_generated_attention,
-    bench_parallel,
     bench_serving,
     make_random_frames,
     record_attention,
@@ -171,16 +170,13 @@ def test_bench_serving_summary_schema():
     assert s["kv_bytes_final"] > 0
 
 
-def test_bench_parallel_and_json(tmp_path):
+def test_write_bench_json(tmp_path):
     config = ModelConfig(layers=1, heads=2, d_model=16, ff_dim=32, vocab_size=32,
                          tokens_per_frame=4, memory_capacity=8, max_positions=4096)
     schedule = BenchSchedule(frames=10, question_points=(), question_ids=(3,), max_new=1)
-    summaries = bench_parallel(config, schedule, seed=5, workers=3)
-    assert len(summaries) == 3
+    summary = bench_serving(config, schedule, seed=5).summary()
 
     single = str(tmp_path / "one.json")
-    write_bench_json(single, summaries[:1])
-    assert json.load(open(single))["frames"] == 10
-    multi = str(tmp_path / "many.json")
-    write_bench_json(multi, summaries)
-    assert len(json.load(open(multi))["sessions"]) == 3
+    write_bench_json(single, summary)
+    with open(single) as fh:
+        assert json.load(fh) == summary

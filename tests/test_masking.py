@@ -8,7 +8,6 @@ from carrierstream import (
     SegmentLayout,
     build_semantic_mask,
     build_streaming_mask,
-    mask_to_pbm,
     remove_carrier_visibility,
 )
 
@@ -140,12 +139,3 @@ def test_remove_carrier_visibility():
     # everything else untouched
     rest = np.delete(np.arange(lay.total), cpos)
     np.testing.assert_array_equal(hidden.allow[:, rest], mask.allow[:, rest])
-
-
-def test_mask_to_pbm_header():
-    lay = SegmentLayout(system=1, frame_sizes=(1,), text=1)
-    text = mask_to_pbm(build_semantic_mask(lay))
-    lines = text.splitlines()
-    assert lines[0] == "P1"
-    assert lines[1] == f"{lay.total} {lay.total}"
-    assert len(lines) == 2 + lay.total
