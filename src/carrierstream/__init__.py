@@ -83,7 +83,7 @@ from .model import (
     save_checkpoint,
     set_param,
 )
-from .numerics import cosine_similarity, gelu, gelu_grad, layer_norm, matmul, softmax_rows
+from .numerics import cosine_similarity, gelu, gelu_grad, layer_norm, softmax_rows
 from .training import (
     Optimizer,
     StreamPlan,

@@ -18,6 +18,7 @@ import numpy as np
 from .config import EVICTION_RULES
 from .errors import (
     CapacityError,
+    ConfigError,
     DegenerateInputError,
     OrderingError,
     SelectionError,
@@ -34,6 +35,9 @@ class FrameTokens:
     embeddings: np.ndarray  # (N, d) float32
 
     def __post_init__(self) -> None:
+        if isinstance(self.frame_index, bool) or not isinstance(self.frame_index, (int, np.integer)):
+            raise ConfigError(f"frame index must be an integer, got {self.frame_index!r}")
+        self.frame_index = int(self.frame_index)
         if self.embeddings.ndim != 2:
             raise ShapeError(f"frame embeddings must be 2-d, got {self.embeddings.shape}")
         if self.frame_index < 0:

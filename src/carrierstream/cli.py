@@ -99,6 +99,14 @@ def load_run_config(path: str | None) -> RunConfig:
     )
 
 
+def _load_run(args: argparse.Namespace) -> RunConfig:
+    """The run config from --config, with --seed (if given) in place of its seed."""
+    run = load_run_config(args.config)
+    if args.seed is not None:
+        run = dataclasses.replace(run, seed=args.seed)
+    return run
+
+
 def _apply_overrides(model: ModelConfig, args: argparse.Namespace) -> ModelConfig:
     changes: dict = {}
     if getattr(args, "memory_size", None) is not None:
@@ -125,18 +133,28 @@ def _add_common(p: argparse.ArgumentParser, ablations: bool = True) -> None:
         p.add_argument("--no-memory", action="store_true", help="buffer frames, sample at ask time")
 
 
-def _load_or_make_frames(args: argparse.Namespace, run: RunConfig, seed: int):
+def _model_weights_stub(args: argparse.Namespace, run: RunConfig):
+    """(model, weights, frame-symbol table) from --weights, or freshly initialized."""
+    if args.weights:
+        ckpt = load_checkpoint(args.weights)
+        model = _apply_overrides(ckpt.weights.config, args)
+        stub = ckpt.stub if ckpt.stub is not None else init_stub(run.task, model, run.seed)
+        return model, ckpt.weights, stub
+    model = _apply_overrides(run.model, args)
+    return model, init_model(model, run.seed), init_stub(run.task, model, run.seed)
+
+
+def _load_or_make_frames(args: argparse.Namespace, run: RunConfig):
     if getattr(args, "frames", None):
         return load_frames(args.frames, run.model)
     count = getattr(args, "count", None) or 32
-    return make_random_frames(count, run.model.tokens_per_frame, run.model.d_model, seed + 1)
+    return make_random_frames(count, run.model.tokens_per_frame, run.model.d_model, run.seed + 1)
 
 
 def _cmd_make_frames(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else run.seed
+    run = _load_run(args)
     frames = make_random_frames(
-        args.count, run.model.tokens_per_frame, run.model.d_model, seed
+        args.count, run.model.tokens_per_frame, run.model.d_model, run.seed
     )
     save_frames(args.out, frames)
     print(f"wrote {len(frames)} frames to {args.out}")
@@ -144,11 +162,10 @@ def _cmd_make_frames(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else run.seed
+    run = _load_run(args)
     model = _apply_overrides(run.model, args)
-    weights = init_model(model, seed)
-    frames = _load_or_make_frames(args, run, seed)
+    weights = init_model(model, run.seed)
+    frames = _load_or_make_frames(args, run)
     session = StreamSession(model, weights, run.system_tokens, trace_path=args.out)
     evictions = 0
     for frame in frames:
@@ -171,17 +188,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ask(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else run.seed
-    model = _apply_overrides(run.model, args)
-    if args.weights:
-        ckpt = load_checkpoint(args.weights)
-        weights = ckpt.weights
-        model = _apply_overrides(weights.config, args)
-        stub = ckpt.stub if ckpt.stub is not None else init_stub(run.task, model, seed)
-    else:
-        weights = init_model(model, seed)
-        stub = init_stub(run.task, model, seed)
+    run = _load_run(args)
+    model, weights, stub = _model_weights_stub(args, run)
 
     if args.frames:
         frames = load_frames(args.frames, model)
@@ -189,7 +197,7 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         k = args.ask_frame if args.ask_frame is not None else default_k
         expected = None
     else:
-        plan = make_plan(run.task, model, np.random.default_rng(seed))
+        plan = make_plan(run.task, model, np.random.default_rng(run.seed))
         frames = frames_for_engine(plan, stub, run.task)
         k = args.ask_frame if args.ask_frame is not None else int(plan.question_frames[0])
         expected = plan.answer(k, run.task) if 0 <= k < len(plan.symbols) else None
@@ -219,14 +227,13 @@ def _cmd_ask(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else run.seed
+    run = _load_run(args)
     model = run.model
     rows: list[dict] = []
 
     if args.stage in ("1", "both"):
-        weights = init_model(model, seed)
-        stub = init_stub(run.task, model, seed)
+        weights = init_model(model, run.seed)
+        stub = init_stub(run.task, model, run.seed)
     else:
         if not args.weights:
             raise ConfigError("--stage 2 needs --weights with a stage-1 checkpoint")
@@ -237,12 +244,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
             raise ConfigError("checkpoint has no frame-symbol table; train stage 1 first")
 
     if args.stage in ("1", "both"):
-        cfg1 = dataclasses.replace(run.stage1, seed=seed)
+        cfg1 = dataclasses.replace(run.stage1, seed=run.seed)
         weights, stub, metrics = train_stage1(weights, run.task, cfg1, stub)
         rows += [{"stage": 1, **m} for m in metrics]
         print(f"stage 1: {len(metrics)} logged steps, final loss {metrics[-1]['loss']:.4f}")
     if args.stage in ("2", "both"):
-        cfg2 = dataclasses.replace(run.stage2, seed=seed + 1)
+        cfg2 = dataclasses.replace(run.stage2, seed=run.seed + 1)
         weights, stub, metrics = train_stage2(weights, run.task, cfg2, stub)
         rows += [{"stage": 2, **m} for m in metrics]
         print(f"stage 2: {len(metrics)} logged steps, final loss {metrics[-1]['loss']:.4f}")
@@ -260,8 +267,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else run.seed
+    run = _load_run(args)
     model = _apply_overrides(run.model, args)
     points: tuple[int, ...] = ()
     if args.ask_at:
@@ -272,30 +278,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         question_ids=tuple(run.system_tokens[:1]) or (0,),
         max_new=args.max_new,
     )
-    summary = bench_serving(model, schedule, seed).summary()
+    summary = bench_serving(model, schedule, run.seed).summary()
     write_bench_json(args.out, summary)
     print(json.dumps({"frames": summary["frames"], "out": args.out}))
     return 0
 
 
 def _cmd_inspect_attn(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config)
-    seed = args.seed if args.seed is not None else run.seed
-    model = _apply_overrides(run.model, args)
-    if args.weights:
-        ckpt = load_checkpoint(args.weights)
-        weights = ckpt.weights
-        model = _apply_overrides(weights.config, args)
-        stub = ckpt.stub if ckpt.stub is not None else init_stub(run.task, model, seed)
-    else:
-        weights = init_model(model, seed)
-        stub = init_stub(run.task, model, seed)
+    run = _load_run(args)
+    model, weights, stub = _model_weights_stub(args, run)
     if args.frames:
         frames = load_frames(args.frames, model)
         k = min(len(frames), run.task.frames_per_stream) - 1
         question = list(run.task.prefix()) + [run.task.idx_token(k)]
     else:
-        frames, question, _ = gen_synthetic_stream(run.task, model, seed, stub)
+        frames, question, _ = gen_synthetic_stream(run.task, model, run.seed, stub)
     capture = AttentionCapture(CaptureFilter(query_tags=("text",)))
     session = StreamSession(model, weights, run.system_tokens, capture=capture)
     for frame in frames:

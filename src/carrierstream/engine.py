@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .masking import MaskSpec, SegmentLayout, build_semantic_mask, build_streaming_mask
+from .masking import SegmentLayout, build_semantic_mask, build_streaming_mask
 from .model import KvCache, Weights, forward_step
 
 
@@ -107,7 +107,7 @@ class StreamSession:
         self.capture = capture
         self.flops = flops
         self.trace: list[dict] = []
-        self._trace_fh = open(trace_path, "w") if trace_path else None
+        self._trace_fh = None
         self._open = True
         self._next_position = 0
         self._last_frame_index = -1
@@ -119,6 +119,8 @@ class StreamSession:
         if self.system_tokens:
             emb = weights.tok_emb[np.asarray(self.system_tokens)]
             self._forward_segment(emb, "system", len(self.system_tokens))
+        if trace_path:  # opened after the system prefill, so a failed prefill leaks no file
+            self._trace_fh = open(trace_path, "w")
         self._emit({"event": "open", "system_tokens": len(self.system_tokens)})
 
     # -- internals ----------------------------------------------------------
@@ -144,18 +146,16 @@ class StreamSession:
         origin: int = -1,
     ) -> np.ndarray:
         """Forward one segment against the cache and retain its persistent part."""
-        spec = build_streaming_mask(self.cache.tags, kind, count)
+        spec = build_streaming_mask(kind, count)
         m = spec.n_queries
         positions = np.arange(self._next_position, self._next_position + m, dtype=np.int64)
-        retain = {"system", "carrier", "text"}
         logits = forward_step(
             self.weights,
             self.cache,
             np.asarray(embeddings, dtype=np.float32),
             positions,
             spec.allow,
-            retain_tags=retain,
-            new_tags=list(spec.query_tags),
+            new_tags=list(spec.tags),
             new_origins=[origin] * m,
             capture=self.capture,
             flops=self.flops,
@@ -397,10 +397,6 @@ def derive_replay(session: StreamSession) -> EvictionReplay:
 @dataclass
 class OracleResult:
     logits: np.ndarray  # (len(question), vocab) rows at the question positions
-    all_logits: np.ndarray  # (total, vocab)
-    layout: SegmentLayout
-    mask: MaskSpec
-    cache: KvCache  # every position retained; per-layer K/V readable
 
 
 def oracle_full_forward(
@@ -427,6 +423,8 @@ def oracle_full_forward(
         raise OracleError(
             f"{len(frames)} frames exceed capacity {config.memory_capacity}; supply a replay schedule"
         )
+    _check_token_ids(system_tokens, config.vocab_size, "system")
+    _check_token_ids(question_ids, config.vocab_size, "question")
 
     n, d = config.tokens_per_frame, config.d_model
     rows = [weights.tok_emb[np.asarray(system_tokens)]] if system_tokens else []
@@ -457,38 +455,18 @@ def oracle_full_forward(
                 late = frame_of >= evict_ord
                 allow[late, col] = False
             allow[text_rows, col] = False
-        spec = MaskSpec(
-            allow=allow,
-            layout=layout,
-            query_tags=spec.query_tags,
-            key_tags=spec.key_tags,
-        )
 
-    cache = KvCache(config)
-    positions = np.arange(layout.total, dtype=np.int64)
-    origins = np.full(layout.total, -1, dtype=np.int64)
-    frame_of = layout.frame_of()
-    for i, t in enumerate(frame_of):
-        if t >= 0:
-            origins[i] = frames[t].frame_index
+    # a fresh cache holds nothing, so the full mask is exactly the new block
     logits = forward_step(
         weights,
-        cache,
+        KvCache(config),
         embeddings,
-        positions,
-        spec.allow,
-        retain_tags={"system", "frame", "carrier", "text"},
-        new_tags=list(spec.query_tags),
-        new_origins=origins.tolist(),
+        np.arange(layout.total, dtype=np.int64),
+        allow,
+        new_tags=list(spec.tags),
         capture=capture,
     )
-    return OracleResult(
-        logits=logits[layout.text_start :],
-        all_logits=logits,
-        layout=layout,
-        mask=spec,
-        cache=cache,
-    )
+    return OracleResult(logits=logits[layout.text_start :])
 
 
 def _evict_ordinals(

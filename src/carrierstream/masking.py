@@ -1,15 +1,19 @@
 """Attention mask construction.
 
-Two builders cover the whole system:
+In a streaming step every new token sees every live cache entry: raw
+frame rows are never cached (only `CACHEABLE_TAGS` are), so whatever
+is in the cache is visible to whatever comes next. A mask therefore
+only ever covers the tokens being forwarded, and two builders cover
+the whole system:
 
 * `build_semantic_mask` produces the full-sequence mask over a layout
   [system][frame tokens, carrier] x T [text]. Later positions may see
   carriers but never the raw frame tokens of earlier frames, which is
   what makes prefill-then-discard sound.
-* `build_streaming_mask` produces the incremental mask used when a new
-  segment (a frame plus its carrier, or text) is appended to a live KV
-  cache. Stacking streaming masks over a session reproduces the rows of
-  the full semantic mask for the same layout.
+* `build_streaming_mask` produces the within-segment block for a new
+  segment (a frame plus its carrier, or text) appended to a live cache.
+  Each of its rows equals the full semantic mask's row restricted to the
+  segment, and that row allows every cached entry.
 
 Masks are plain boolean allow-matrices; they are immutable values and
 safe to share.
@@ -17,13 +21,14 @@ safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LayoutError
 
+# the tags whose K/V a cache keeps; raw frame rows are used once and dropped
 CACHEABLE_TAGS = ("system", "carrier", "text")
 
 
@@ -112,35 +117,25 @@ class SegmentLayout:
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Boolean allow-matrix plus enough layout to interpret it.
+    """Square boolean allow-matrix over a run of tokens, with their tags.
 
-    For full-sequence masks queries == keys and `layout` is set. For
-    streaming masks the first `n_cached` key columns are existing cache
-    entries and the remaining columns are the new tokens themselves.
+    Full-sequence masks also carry their `layout`.
     """
 
     allow: np.ndarray
     layout: SegmentLayout | None = None
-    n_cached: int = 0
-    query_tags: tuple[str, ...] = field(default=())
-    key_tags: tuple[str, ...] = field(default=())
+    tags: tuple[str, ...] = ()
 
     @property
     def n_queries(self) -> int:
         return self.allow.shape[0]
 
-    @property
-    def n_keys(self) -> int:
-        return self.allow.shape[1]
-
     def validate(self) -> None:
         """Check causality and non-degeneracy; raises LayoutError."""
-        q, k = self.allow.shape
         if not self.allow.any(axis=1).all():
             raise LayoutError("mask has a query row with no allowed key")
-        # query i sits at key column n_cached + i
-        for i in range(q):
-            if self.allow[i, self.n_cached + i + 1 :].any():
+        for i in range(self.allow.shape[0]):
+            if self.allow[i, i + 1 :].any():
                 raise LayoutError(f"query {i} attends a future key")
 
 
@@ -182,12 +177,11 @@ def build_semantic_mask(layout: SegmentLayout) -> MaskSpec:
         allow[i, carriers] = True
         allow[i, tstart : i + 1] = True
 
-    tags = tuple(layout.tags())
-    return MaskSpec(allow=allow, layout=layout, n_cached=0, query_tags=tags, key_tags=tags)
+    return MaskSpec(allow=allow, layout=layout, tags=tuple(layout.tags()))
 
 
-def build_streaming_mask(cache_tags: Sequence[str], kind: str, count: int) -> MaskSpec:
-    """Mask for appending one new segment to a live cache.
+def build_streaming_mask(kind: str, count: int) -> MaskSpec:
+    """Within-segment mask for appending one new segment to a live cache.
 
     kind:
       "frame"   -> `count` frame tokens followed by one carrier
@@ -195,46 +189,25 @@ def build_streaming_mask(cache_tags: Sequence[str], kind: str, count: int) -> Ma
       "text"    -> `count` text tokens
       "system"  -> `count` system tokens (causal, same pattern as text)
 
-    Every new token sees the whole cache; within the segment, frame
-    tokens are causal, the carrier sees its full frame, and text is causal.
+    Returns the (m, m) block over the new tokens only; the cache is always
+    visible and is not part of the mask. Frame, text and system tokens are
+    causal, and the carrier, placed last, sees its whole frame.
     """
-    for tag in cache_tags:
-        if tag not in CACHEABLE_TAGS:
-            raise LayoutError(f"unknown cache tag {tag!r}")
-    nc = len(cache_tags)
-
     if kind == "frame":
         if count < 1:
             raise LayoutError("a frame segment needs at least one token")
-        m = count + 1
-        allow = np.zeros((m, nc + m), dtype=bool)
-        allow[:, :nc] = True
-        for j in range(count):
-            allow[j, nc : nc + j + 1] = True
-        allow[count, nc : nc + m] = True
-        new_tags = ("frame",) * count + ("carrier",)
+        tags = ("frame",) * count + ("carrier",)
     elif kind == "carrier":
         if count != 1:
             raise LayoutError("a carrier segment is exactly one token")
-        allow = np.ones((1, nc + 1), dtype=bool)
-        new_tags = ("carrier",)
+        tags = ("carrier",)
     elif kind in ("text", "system"):
         if count < 1:
             raise LayoutError(f"a {kind} segment needs at least one token")
-        allow = np.zeros((count, nc + count), dtype=bool)
-        allow[:, :nc] = True
-        for j in range(count):
-            allow[j, nc : nc + j + 1] = True
-        new_tags = (kind,) * count
+        tags = (kind,) * count
     else:
         raise LayoutError(f"unknown segment kind {kind!r}")
-
-    return MaskSpec(
-        allow=allow,
-        n_cached=nc,
-        query_tags=new_tags,
-        key_tags=tuple(cache_tags) + new_tags,
-    )
+    return MaskSpec(allow=np.tri(len(tags), dtype=bool), tags=tags)
 
 
 def remove_carrier_visibility(mask: MaskSpec, frame_ordinal: int) -> MaskSpec:
@@ -251,10 +224,4 @@ def remove_carrier_visibility(mask: MaskSpec, frame_ordinal: int) -> MaskSpec:
     keep_self = allow[cpos, cpos]
     allow[:, cpos] = False
     allow[cpos, cpos] = keep_self
-    return MaskSpec(
-        allow=allow,
-        layout=mask.layout,
-        n_cached=mask.n_cached,
-        query_tags=mask.query_tags,
-        key_tags=mask.key_tags,
-    )
+    return MaskSpec(allow=allow, layout=mask.layout, tags=mask.tags)

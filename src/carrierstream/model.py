@@ -8,7 +8,9 @@ position sequence, which is never re-packed.
 
 `forward_step` is the single entry point for both incremental decoding
 (nonempty cache) and batched full-sequence evaluation (fresh cache,
-retain everything, read the cache back for per-position K/V).
+full semantic mask). Every new token sees the whole cache, so masks
+cover only the new tokens, and the cache keeps every forwarded token
+except raw frame rows.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import numpy as np
 from .config import ModelConfig
 from .errors import (
     CapacityError,
+    DegenerateInputError,
     FormatError,
     OrderingError,
     PayloadLengthError,
     ShapeError,
 )
+from .masking import CACHEABLE_TAGS
 from .numerics import gelu, layer_norm, softmax_rows
 
 ADAPTED_PROJECTIONS = ("wq", "wk", "wv", "wo")
@@ -387,22 +391,26 @@ def attention_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head scaled dot-product attention over cached + new keys.
 
-    q: (m, d); cached/new k, v: (n_cached, h, dk) and (m, h, dk);
-    mask: (m, n_cached + m) boolean allow-matrix.
-    Returns (output (m, d), probs (h, m, n)).
+    q: (m, d); cached/new k, v: (n_cached, h, dk) and (n_new, h, dk);
+    mask: (m, n_new) boolean allow-matrix over the new keys only. Cached
+    keys are always visible. Returns (output (m, d), probs (h, m, n)).
     """
     m, d = q.shape
     dk = d // heads
     q3 = q.reshape(m, heads, dk)
+    n_cached, n_new = cached_k.shape[0], new_k.shape[0]
+    if mask.shape != (m, n_new):
+        raise ShapeError(f"mask {mask.shape} does not cover ({m}, {n_new})")
+    if n_cached == 0 and not mask.any(axis=1).all():
+        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+        raise DegenerateInputError(f"query {bad} has no allowed key")
     keys = np.concatenate([cached_k, new_k], axis=0)
     values = np.concatenate([cached_v, new_v], axis=0)
-    n = keys.shape[0]
-    if mask.shape != (m, n):
-        raise ShapeError(f"mask {mask.shape} does not cover ({m}, {n})")
+    n = n_cached + n_new
 
     scores = np.einsum("mhd,nhd->hmn", q3, keys) / np.sqrt(dk).astype(q.dtype)
-    flat = softmax_rows(scores.reshape(heads * m, n), np.broadcast_to(mask, (heads, m, n)).reshape(heads * m, n))
-    probs = flat.reshape(heads, m, n)
+    scores[:, :, n_cached:][:, ~mask] = -np.inf  # exp(-inf) gives masked keys exactly 0
+    probs = softmax_rows(scores.reshape(heads * m, n)).reshape(heads, m, n)
     out = np.einsum("hmn,nhd->mhd", probs, values).reshape(m, d)
     return out, probs
 
@@ -413,7 +421,6 @@ def forward_step(
     new_embeddings: np.ndarray,
     positions: np.ndarray,
     mask: np.ndarray,
-    retain_tags: set[str] | frozenset[str],
     new_tags: Sequence[str],
     new_origins: Sequence[int] | None = None,
     capture=None,
@@ -421,11 +428,13 @@ def forward_step(
 ) -> np.ndarray:
     """Run new tokens through every layer against the live cache.
 
-    Position embeddings are added here; K/V for positions whose tag is in
-    `retain_tags` are appended to the cache after the pass completes.
-    Returns logits of shape (m, vocab). `capture` (attention observer) and
-    `flops` (step counter) are optional instrumentation hooks; neither
-    affects any computed value.
+    Position embeddings are added here. `mask` is the (m, m) block over
+    the new tokens; every cached entry is visible to every new token.
+    After the pass, K/V of the new tokens whose tag is in `CACHEABLE_TAGS`
+    (all but raw frame rows) are appended to the cache. Returns logits
+    of shape (m, vocab). `capture` (attention observer) and `flops`
+    (step counter) are optional instrumentation hooks; neither affects
+    any computed value.
     """
     config = weights.config
     m = new_embeddings.shape[0]
@@ -442,9 +451,8 @@ def forward_step(
         raise OrderingError(
             f"position {int(positions[0])} not after cached maximum {cache.max_position}"
         )
-    n_total = len(cache) + m
-    if mask.shape != (m, n_total):
-        raise ShapeError(f"mask {mask.shape}, expected ({m}, {n_total})")
+    if mask.shape != (m, m):
+        raise ShapeError(f"mask {mask.shape}, expected ({m}, {m})")
 
     x = embed_positions(new_embeddings, weights.pos_emb, positions)
     heads, dk = config.heads, config.head_dim
@@ -474,9 +482,9 @@ def forward_step(
 
     logits = x @ weights.unembed
     if flops is not None:
-        flops.add_step(m, n_total)
+        flops.add_step(m, len(cache) + m)
 
-    keep = np.array([t in retain_tags for t in new_tags], dtype=bool)
+    keep = np.array([t in CACHEABLE_TAGS for t in new_tags], dtype=bool)
     origins = np.asarray(
         new_origins if new_origins is not None else [-1] * m, dtype=np.int64
     )

@@ -14,18 +14,6 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with explicit shape validation.
-
-    Raises ShapeError when the inner dimensions disagree.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.ndim}-d and {b.ndim}-d")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def softmax_rows(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction; masked entries come out exactly 0.
 

@@ -1,9 +1,12 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from carrierstream import (
+    CapacityError,
     ConfigError,
     EvictionReplay,
     FrameTokens,
@@ -80,6 +83,7 @@ def test_memory_stays_bounded_under_eviction(tiny_weights):
     surviving = set(session.bank.frame_indices())
     cached_frames = {int(o) for o in session.cache.origins if o >= 0}
     assert cached_frames == surviving
+    assert "frame" not in session.cache.tags
 
 
 def test_eviction_leaves_position_gaps(tiny_weights):
@@ -148,6 +152,11 @@ def test_oracle_rejects_unsupported_modes(tiny_config, tiny_weights, tiny_frames
     w3 = init_model(small, seed=0)
     with pytest.raises(OracleError):
         oracle_full_forward(w3, SYSTEM, tiny_frames, [5])
+    for bad in ([-1], [tiny_config.vocab_size], [999], [1.5]):
+        with pytest.raises(ConfigError):
+            oracle_full_forward(tiny_weights, SYSTEM, tiny_frames, bad)
+        with pytest.raises(ConfigError):
+            oracle_full_forward(tiny_weights, bad, tiny_frames, [5])
 
 
 def test_no_memory_buffers_then_samples(tiny_weights):
@@ -201,6 +210,11 @@ def test_trace_jsonl_written(tmp_path, tiny_weights):
     config = ModelConfig(**{**tiny_weights.config.to_dict(), "memory_capacity": 3})
     frames = make_random_frames(8, config.tokens_per_frame, config.d_model, seed=5)
     path = str(tmp_path / "trace.jsonl")
+    # numpy-integer indices (as from an index array) are stored as plain ints
+    frames = [FrameTokens(np.int64(f.frame_index), f.embeddings) for f in frames]
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ConfigError):
+            FrameTokens(bad, frames[0].embeddings)
     session = stream_all(config, tiny_weights, frames, trace_path=path)
     session.ask([5], max_new=1)
     session.close()
@@ -218,6 +232,19 @@ def test_trace_jsonl_written(tmp_path, tiny_weights):
     replay = derive_replay(session)
     scheduled = [j for js in replay.before_frame.values() for j in js] + list(replay.before_ask)
     assert sorted(scheduled) == sorted(evicted)
+
+
+def test_failed_system_prefill_leaves_no_trace_file(tmp_path, tiny_config):
+    config = ModelConfig(**{**tiny_config.to_dict(), "max_positions": 16})
+    weights = init_model(config, seed=0)
+    path = tmp_path / "trace.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CapacityError):
+            StreamSession(config, weights, system_tokens=[1] * 20, trace_path=str(path))
+        gc.collect()
+    assert not path.exists()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_session_rejects_bad_input(tiny_config, tiny_weights, tiny_frames):

@@ -91,24 +91,21 @@ def test_semantic_mask_invariants(system, frame_sizes, text):
 
 
 def test_streaming_mask_matches_semantic_rows():
-    # Streaming masks, applied segment by segment against the cacheable
-    # prefix, must reproduce the corresponding full-mask rows.
+    # Segment by segment, every new row of the full mask allows the whole
+    # cacheable prefix, and the streaming mask equals its block over the
+    # new tokens.
     lay = SegmentLayout(system=2, frame_sizes=(3, 3), text=2)
     full = build_semantic_mask(lay)
     tags = lay.tags()
-    cacheable = [i for i, t in enumerate(tags) if t != "frame"]
 
     cache: list[int] = []  # global positions of cached entries
 
     def check(kind, count, new_positions):
-        stream = build_streaming_mask([tags[p] for p in cache], kind, count)
-        nc = len(cache)
-        for row, q in enumerate(new_positions):
-            got = stream.allow[row]
-            expect_cached = full.allow[q, cache]
-            expect_new = full.allow[q, new_positions]
-            np.testing.assert_array_equal(got[:nc], expect_cached)
-            np.testing.assert_array_equal(got[nc:], expect_new)
+        stream = build_streaming_mask(kind, count)
+        for q in new_positions:
+            assert full.allow[q, cache].all()
+        np.testing.assert_array_equal(stream.allow, full.allow[new_positions][:, new_positions])
+        assert list(stream.tags) == [tags[p] for p in new_positions]
 
     check("system", 2, [0, 1])
     cache.extend([0, 1])
@@ -121,11 +118,9 @@ def test_streaming_mask_matches_semantic_rows():
 
 def test_streaming_mask_rejects_unknown_inputs():
     with pytest.raises(LayoutError):
-        build_streaming_mask(["frame"], "text", 1)  # raw rows are never cached
+        build_streaming_mask("carrier", 2)
     with pytest.raises(LayoutError):
-        build_streaming_mask(["system"], "carrier", 2)
-    with pytest.raises(LayoutError):
-        build_streaming_mask(["system"], "bogus", 1)
+        build_streaming_mask("bogus", 1)
 
 
 def test_remove_carrier_visibility():

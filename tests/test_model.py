@@ -3,6 +3,7 @@ import pytest
 
 from carrierstream import (
     CapacityError,
+    DegenerateInputError,
     FormatError,
     KvCache,
     ModelConfig,
@@ -51,14 +52,13 @@ def test_attention_uses_cached_keys():
     cv = rng.standard_normal((3, h, d // h)).astype(np.float32)
     nk = rng.standard_normal((1, h, d // h)).astype(np.float32)
     nv = rng.standard_normal((1, h, d // h)).astype(np.float32)
-    mask = np.ones((1, 4), dtype=bool)
-    out_split, _ = attention_forward(q, ck, cv, nk, nv, mask, heads=h)
+    out_split, _ = attention_forward(q, ck, cv, nk, nv, np.ones((1, 1), dtype=bool), heads=h)
     # same result when all keys arrive as "new"
     allk = np.concatenate([ck, nk], axis=0)
     allv = np.concatenate([cv, nv], axis=0)
     out_flat, _ = attention_forward(
         q, np.zeros((0, h, d // h), np.float32), np.zeros((0, h, d // h), np.float32),
-        allk, allv, mask, heads=h,
+        allk, allv, np.ones((1, 4), dtype=bool), heads=h,
     )
     np.testing.assert_array_equal(out_split, out_flat)
 
@@ -69,6 +69,8 @@ def test_attention_mask_shape_error():
     empty = np.zeros((0, 2, 2), dtype=np.float32)
     with pytest.raises(ShapeError):
         attention_forward(q, empty, empty, kv, kv, np.ones((2, 3), bool), heads=2)
+    with pytest.raises(DegenerateInputError):  # no cache, and row 1 allows no new key
+        attention_forward(q, empty, empty, kv, kv, np.array([[True, False], [False, False]]), heads=2)
 
 
 def test_init_statistics():
@@ -198,25 +200,18 @@ def test_embed_positions_bounds(tiny_config, tiny_weights):
 def test_forward_step_shapes_and_ordering(tiny_config, tiny_weights):
     cache = KvCache(tiny_config)
     emb = np.zeros((2, tiny_config.d_model), dtype=np.float32)
-    mask = build_streaming_mask([], "system", 2).allow
+    mask = build_streaming_mask("system", 2).allow
     logits = forward_step(
-        tiny_weights, cache, emb, np.array([0, 1]), mask,
-        retain_tags=frozenset({"system"}), new_tags=["system", "system"],
+        tiny_weights, cache, emb, np.array([0, 1]), mask, new_tags=["system", "system"],
     )
     assert logits.shape == (2, tiny_config.vocab_size)
     assert len(cache) == 2
 
-    mask2 = build_streaming_mask(cache.tags, "text", 1).allow
+    mask2 = build_streaming_mask("text", 1).allow
     with pytest.raises(OrderingError):  # position 1 is already taken
-        forward_step(
-            tiny_weights, cache, emb[:1], np.array([1]), mask2,
-            retain_tags=frozenset({"text"}), new_tags=["text"],
-        )
+        forward_step(tiny_weights, cache, emb[:1], np.array([1]), mask2, new_tags=["text"])
     with pytest.raises(ShapeError):
-        forward_step(
-            tiny_weights, cache, emb[:1], np.array([5]), mask2,
-            retain_tags=frozenset(), new_tags=["text", "text"],
-        )
+        forward_step(tiny_weights, cache, emb[:1], np.array([5]), mask2, new_tags=["text", "text"])
 
 
 def test_config_validation():

@@ -11,23 +11,8 @@ from carrierstream import (
     gelu,
     gelu_grad,
     layer_norm,
-    matmul,
     softmax_rows,
 )
-
-
-def test_matmul_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((5, 7))
-    b = rng.standard_normal((7, 3))
-    np.testing.assert_array_equal(matmul(a, b), a @ b)
-
-
-def test_matmul_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((4, 2)))
-    with pytest.raises(ShapeError):
-        matmul(np.ones(3), np.ones((3, 2)))
 
 
 def test_softmax_rows_hand_values():
