@@ -24,6 +24,7 @@ from .config import ModelConfig
 from .errors import (
     CapacityError,
     ConfigError,
+    DegenerateInputError,
     OracleError,
     OrderingError,
     ShapeError,
@@ -186,6 +187,7 @@ class StreamSession:
             )
         t0 = time.perf_counter_ns()
         f0 = self._flops_total()
+        carrier = self._carrier_of(frame)
 
         evicted: int | None = None
         score: float | None = None
@@ -195,7 +197,7 @@ class StreamSession:
             if self.replay is not None:
                 for j in self.replay.before_frame.get(frame.frame_index, ()):
                     self._force_evict(j, at=f"frame:{frame.frame_index}")
-            record = self.prefill_frame(frame)
+            record = self.prefill_frame(frame, carrier)
             outcome = self.bank.insert(
                 record,
                 allow_eviction=self.replay is None,
@@ -228,16 +230,29 @@ class StreamSession:
         )
         return report
 
-    def prefill_frame(self, frame: FrameTokens) -> CarrierRecord:
+    def _carrier_of(self, frame: FrameTokens) -> np.ndarray:
+        """The frame's carrier embedding, checked before any state changes.
+
+        A zero-norm carrier has no cosine similarity, so the bank could
+        never score it for eviction.
+        """
+        carrier = build_carrier_embedding(
+            np.asarray(frame.embeddings, dtype=np.float32), self.config.carrier_mode
+        )
+        if float(np.linalg.norm(carrier)) == 0.0:  # the norm cosine_similarity computes
+            raise DegenerateInputError(f"frame {frame.frame_index} has a zero-norm carrier")
+        return carrier
+
+    def prefill_frame(self, frame: FrameTokens, carrier: np.ndarray) -> CarrierRecord:
         """Forward frame tokens + carrier; keep only the carrier's K/V.
 
         In the embedding-only variant the raw tokens are never forwarded:
         the carrier embedding alone attends the cache. Either way the
         frame's N positions stay reserved so position layout is identical
-        across variants.
+        across variants. `carrier` is the frame's carrier embedding from
+        `_carrier_of`.
         """
         emb = np.asarray(frame.embeddings, dtype=np.float32)
-        carrier = build_carrier_embedding(emb, self.config.carrier_mode)
         carrier_position = self._next_position + self.config.tokens_per_frame
 
         if self.config.carrier_kv_mode == "inherited":
@@ -264,7 +279,7 @@ class StreamSession:
             raise StateError("even sampling produced duplicate frame slots")
         for i in idx:
             frame = self._pending_frames[int(i)]
-            record = self.prefill_frame(frame)
+            record = self.prefill_frame(frame, self._carrier_of(frame))
             self.bank.insert(record)
         self._emit({"event": "materialize", "sampled": [int(self._pending_frames[int(i)].frame_index) for i in idx]})
         self._pending_frames = []

@@ -14,28 +14,19 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 
 
-def softmax_rows(m: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction; masked entries come out exactly 0.
+def softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction.
 
-    `mask` is a boolean allow-matrix of the same shape (True = entry
-    participates). A row with no allowed entry raises DegenerateInputError.
+    A -inf entry (a masked one) comes out exactly 0. A row whose entries
+    are all -inf raises DegenerateInputError naming the row.
     """
     if m.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-d array, got {m.ndim}-d")
-    if mask is not None:
-        if mask.shape != m.shape:
-            raise ShapeError(f"mask shape {mask.shape} != input shape {m.shape}")
-        if not mask.any(axis=1).all():
-            bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-            raise DegenerateInputError(f"row {bad} has no unmasked entry")
-        neg = np.array(-np.inf, dtype=m.dtype)
-        shifted = np.where(mask, m, neg)
-    else:
-        shifted = m
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    out = np.exp(shifted)
-    if mask is not None:
-        out = np.where(mask, out, np.zeros((), dtype=m.dtype))
+    top = m.max(axis=1, keepdims=True)
+    if np.isneginf(top).any():
+        bad = int(np.flatnonzero(np.isneginf(top))[0])
+        raise DegenerateInputError(f"row {bad} has no unmasked entry")
+    out = np.exp(m - top)
     out /= out.sum(axis=1, keepdims=True)
     return out
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carrierstream import carrier as carrier_module
+from carrierstream.config import EVICTION_RULES
 from carrierstream import (
     CapacityError,
     CarrierRecord,
@@ -149,6 +151,116 @@ def test_eviction_matches_exhaustive_oracle(rule):
         assert report.frame_evicted == before[expect_slot]
         assert report.score == pytest.approx(expect_score, abs=1e-7)
         assert len(bank) == m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(EVICTION_RULES),
+    st.integers(1, 5),
+    st.lists(
+        st.tuples(st.sampled_from(["insert", "overflow", "remove"]), st.integers(0, 2**32 - 1)),
+        max_size=40,
+    ),
+)
+def test_bank_matches_oracle_under_mixed_operations(rule, capacity, ops):
+    # evicting inserts, replay's overflow inserts and forced removals, with
+    # repeated and nearly repeated embeddings to make exact and near ties
+    d = 16
+    bank = MemoryBank(capacity=capacity, rule=rule)
+    seen: list[np.ndarray] = []
+    for t, (op, seed) in enumerate(ops):
+        rng = np.random.default_rng(seed)
+        if op == "remove":
+            if len(bank):
+                frame = bank.frame_indices()[rng.integers(len(bank))]
+                assert bank.remove(frame).frame_index == frame
+            continue
+        dtype = rng.choice([np.float32, np.float64])
+        kind = rng.integers(3) if seen else 0
+        if kind == 0:
+            emb = rng.standard_normal(d).astype(dtype)
+        else:
+            emb = seen[rng.integers(len(seen))].astype(dtype)
+        if kind == 2:  # one ulp off: exact and float64 scores can rank the two differently
+            k = rng.integers(d)
+            emb[k] = np.nextafter(emb[k], dtype(np.inf) if rng.integers(2) else dtype(-np.inf))
+        seen.append(emb)
+        before = bank.frame_indices()
+        embs = [c.embedding.copy() for c in bank.carriers]
+        evicting = op == "insert" and len(before) >= capacity
+        report = bank.insert(
+            CarrierRecord(frame_index=t, embedding=emb, position=t),
+            allow_eviction=op == "insert",
+            allow_overflow=op == "overflow",
+        )
+        if evicting:
+            slot, score = oracle_select_victim(embs, emb.copy(), rule)
+            assert report.frame_evicted == before[slot]
+            assert report.score == score  # the same cosine_similarity call, bit for bit
+            before.pop(slot)
+        else:
+            assert report is None
+        assert bank.frame_indices() == before + [t]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-21, 1e19])
+@pytest.mark.parametrize("rule", EVICTION_RULES)
+def test_near_ties_match_oracle(rule, scale):
+    # slots one float32 ulp apart score within rounding of each other; the
+    # exact scores and a float64 pass often rank such slots differently, and
+    # at the extreme scales float32 underflows or overflows
+    rng = np.random.default_rng(6)
+    base = (scale * rng.standard_normal(16)).astype(np.float32)
+    bank = MemoryBank(capacity=8, rule=rule)
+    for t in range(8 + 400):
+        if rng.integers(2):
+            emb = base.copy()
+            k = rng.integers(16)
+            emb[k] = np.nextafter(emb[k], np.float32(rng.choice([-np.inf, np.inf])))
+        else:  # scores against the near-copies of `base` nearly tie, away from +-1
+            emb = (scale * rng.standard_normal(16)).astype(np.float32)
+        embs = [c.embedding.copy() for c in bank.carriers]
+        before = bank.frame_indices()
+        with np.errstate(over="ignore", invalid="ignore"):  # float32 overflows at 1e19
+            report = bank.insert(record(t, emb))
+            if t >= 8:
+                slot, score = oracle_select_victim(embs, emb, rule)
+        if t >= 8:
+            assert report.frame_evicted == before[slot]
+            assert np.array_equal(report.score, score, equal_nan=True)
+
+
+@pytest.mark.parametrize("rule", EVICTION_RULES)
+def test_failed_eviction_leaves_bank_unchanged(rule):
+    rng = np.random.default_rng(4)
+    bank = MemoryBank(capacity=3, rule=rule)
+    for t in range(3):
+        bank.insert(record(t, rng.standard_normal(8)))
+    with pytest.raises(DegenerateInputError):
+        bank.insert(record(3, np.zeros(8)))  # a zero-norm carrier raises when scored
+    assert bank.frame_indices() == [0, 1, 2]
+    incoming = rng.standard_normal(8).astype(np.float32)
+    slot, score = oracle_select_victim([c.embedding.copy() for c in bank.carriers], incoming, rule)
+    report = bank.insert(record(4, incoming))
+    assert (report.frame_evicted, report.score) == ([0, 1, 2][slot], score)
+
+
+def test_adjacent_pairs_steady_eviction_scores_at_most_two_pairs(monkeypatch):
+    rng = np.random.default_rng(5)
+    bank = MemoryBank(capacity=16, rule="adjacent_pairs")
+    for t in range(17):  # the first eviction scores every pair
+        bank.insert(record(t, rng.standard_normal(8)))
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return cosine_similarity(a, b)
+
+    monkeypatch.setattr(carrier_module, "cosine_similarity", counted)
+    for t in range(17, 117):
+        calls.clear()
+        assert bank.insert(record(t, rng.standard_normal(8))) is not None
+        assert len(calls) <= 2
 
 
 @settings(max_examples=60, deadline=None)

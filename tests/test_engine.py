@@ -8,6 +8,7 @@ import pytest
 from carrierstream import (
     CapacityError,
     ConfigError,
+    DegenerateInputError,
     EvictionReplay,
     FrameTokens,
     ModelConfig,
@@ -268,6 +269,34 @@ def test_session_rejects_bad_input(tiny_config, tiny_weights, tiny_frames):
         assert len(session.cache) == entries
         assert session._next_position == position
     session.ask([0, vocab - 1], max_new=1)
+
+
+@pytest.mark.parametrize("carrier_mode", ["mean", "last_token"])
+def test_zero_norm_carrier_is_rejected_before_any_state_changes(tiny_weights, carrier_mode):
+    config = ModelConfig(
+        **{**tiny_weights.config.to_dict(), "memory_capacity": 3, "carrier_mode": carrier_mode}
+    )
+    n, d = config.tokens_per_frame, config.d_model
+    frames = make_random_frames(6, n, d, seed=9)
+    zero = np.ones((n, d), np.float32) if carrier_mode == "last_token" else np.zeros((n, d), np.float32)
+    zero[-1] = 0.0  # the carrier is the last row or the mean: zero either way
+
+    def state(session):
+        return (session.bank.frame_indices(), len(session.cache), session._next_position,
+                len(session.trace))
+
+    # a bank with room, a full bank, and a replay with a forced eviction due at the frame
+    for filled, replay in ((1, None), (3, None), (3, EvictionReplay(before_frame={10: (0,)}))):
+        session = StreamSession(config, tiny_weights, system_tokens=SYSTEM, replay=replay)
+        for f in frames[:filled]:
+            session.ingest_frame(f)
+        before = state(session)
+        with pytest.raises(DegenerateInputError, match="frame 10"):
+            session.ingest_frame(FrameTokens(10, zero))
+        assert state(session) == before
+        for i, f in enumerate(frames[filled:], start=11):  # the bank is not poisoned
+            session.ingest_frame(FrameTokens(i, f.embeddings))
+        assert len(session.cache) == len(SYSTEM) + len(session.bank)
 
 
 def test_carrier_and_kv_mode_ablations_differ(tiny_config, tiny_weights, tiny_frames):

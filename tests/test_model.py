@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from carrierstream import (
     CapacityError,
@@ -69,8 +72,24 @@ def test_attention_mask_shape_error():
     empty = np.zeros((0, 2, 2), dtype=np.float32)
     with pytest.raises(ShapeError):
         attention_forward(q, empty, empty, kv, kv, np.ones((2, 3), bool), heads=2)
-    with pytest.raises(DegenerateInputError):  # no cache, and row 1 allows no new key
+    with pytest.raises(DegenerateInputError, match="query 1"):  # no cache, and row 1 allows no new key
         attention_forward(q, empty, empty, kv, kv, np.array([[True, False], [False, False]]), heads=2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 3), arrays(np.bool_, (4, 6)), st.integers(0, 2**32 - 1))
+def test_attention_masked_keys_get_exactly_zero(n_cached, mask, seed):
+    # every cached key is visible; a masked new key gets probability exactly 0
+    mask[:, 0] = True  # keep every row satisfiable
+    rng = np.random.default_rng(seed)
+    h, dk = 2, 3
+    q = rng.standard_normal((4, h * dk)).astype(np.float32)
+    ck, cv = rng.standard_normal((2, n_cached, h, dk)).astype(np.float32)
+    nk, nv = rng.standard_normal((2, 6, h, dk)).astype(np.float32)
+    _, probs = attention_forward(q, ck, cv, nk, nv, mask, heads=h)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+    assert np.all(probs[:, :, n_cached:][:, ~mask] == 0.0)
+    assert np.all(probs[:, :, :n_cached] > 0.0)
 
 
 def test_init_statistics():
