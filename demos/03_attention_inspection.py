@@ -60,16 +60,17 @@ for layer, view in sorted(averaged.items()):
     parts = ", ".join(f"{tag}={mass:.3f}" for tag, mass in sorted(by_tag.items()))
     print(f"layer {layer}: attention mass by segment: {parts}")
 
-csv_path = os.path.join(tempfile.mkdtemp(), "attention.csv")
-n = write_attention_csv(csv_path, trace)
-print(f"wrote {n} rows to {csv_path}")
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = os.path.join(tmp, "attention.csv")
+    n = write_attention_csv(csv_path, trace)
+    print(f"wrote {n} rows to {csv_path}")
 
 # Closed-form flop model: cost of one ingest step once the bank is full
 # depends only on shapes, so steady-state cost is flat.
 m_new = config.tokens_per_frame + 1
 n_keys = len(SYSTEM) + config.memory_capacity + m_new
 print(f"steady-state ingest flops: {step_flops(config, m_new, n_keys)}")
-print(f"counter total so far: {flops.total} over {len(flops.steps)} forward steps")
+print(f"counter total so far: {flops.total}")
 session.close()
 
 # End-to-end serving benchmark: latency percentiles and a throughput proxy.
@@ -81,6 +82,7 @@ print(
     f"p90={summary['ingest_us']['p90']:.0f}us, "
     f"serving proxy {summary['serving_fps_proxy']:.1f} frames/s"
 )
-json_path = os.path.join(tempfile.mkdtemp(), "bench.json")
-write_bench_json(json_path, [summary])
-print(f"wrote benchmark summary to {json_path}")
+with tempfile.TemporaryDirectory() as tmp:
+    json_path = os.path.join(tmp, "bench.json")
+    write_bench_json(json_path, summary)
+    print(f"wrote benchmark summary to {json_path}")

@@ -1,9 +1,13 @@
 """Hand-written reverse-mode gradients for the training path.
 
 Training and gradient checking run at float64 on batched full sequences
-(no KV cache); the streaming engine stays float32. The forward here is
-the same architecture as `model.forward_step` expressed over a batch,
-and the backward visits every weight, including adapter factors.
+(no KV cache); the streaming engine stays float32. The forward has no
+math of its own: it calls the engine's kernels (`embed_positions`,
+`layer_norm`, `_project`, `attention_core`, `gelu`) over a batch axis,
+so on float64 weights its logits equal `model.forward_step`'s bit for
+bit. The tape keeps only layer inputs and activations; the backward
+recomputes the layer-norm statistics and adapter products it needs and
+visits every weight, including adapter factors.
 
 Masked attention entries have probability exactly 0, so their score
 gradients are exactly 0 as well; the leakage guarantees downstream rest
@@ -17,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .model import LayerWeights, Weights
-from .numerics import gelu, gelu_grad
-
-LN_EPS = 1e-5
+from .model import LayerWeights, Weights, _project, attention_core, embed_positions
+from .numerics import LN_EPS, gelu, gelu_grad, layer_norm
 
 
 @dataclass
@@ -49,17 +51,16 @@ class TrainBatch:
     stub_scatter: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
-    mean = x.mean(axis=-1, keepdims=True)
-    xc = x - mean
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+def _ln_backward(
+    dy: np.ndarray, x: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of `layer_norm(x, g, b)`, recomputing its statistics from x."""
+    # x_hat is the only (b, s, d) temporary: the einsum variance and the
+    # in-place scale allocate no other, and each fresh one costs page faults
+    x_hat = x - x.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", x_hat, x_hat)[..., None] / x.shape[-1]
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    x_hat = xc * inv_std
-    return x_hat * g + b, {"x_hat": x_hat, "inv_std": inv_std}
-
-
-def _ln_backward(dy: np.ndarray, g: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x_hat, inv_std = cache["x_hat"], cache["inv_std"]
+    x_hat *= inv_std
     d_g = (dy * x_hat).reshape(-1, dy.shape[-1]).sum(axis=0)
     d_b = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
     dxh = dy * g
@@ -71,32 +72,18 @@ def _ln_backward(dy: np.ndarray, g: np.ndarray, cache: dict) -> tuple[np.ndarray
     return dx, d_g, d_b
 
 
-def _proj_forward(
-    x: np.ndarray, w: np.ndarray, lw: LayerWeights, name: str
-) -> tuple[np.ndarray, dict]:
-    y = x @ w
-    cache = {"x": x}
-    if lw.adapters is not None and name in lw.adapters:
-        a, b = lw.adapters[name]
-        xa = x @ a
-        y = y + xa @ b
-        cache["xa"] = xa
-    return y, cache
-
-
 def _proj_backward(
-    dy: np.ndarray, w: np.ndarray, lw: LayerWeights, name: str, cache: dict, grads: dict, prefix: str
+    dy: np.ndarray, x: np.ndarray, w: np.ndarray, lw: LayerWeights, name: str, grads: dict, prefix: str
 ) -> np.ndarray:
-    x = cache["x"]
+    """Gradients of `_project(x, w, lw, name)`; x is the saved projection input."""
     d = x.shape[-1]
     k = dy.shape[-1]
     grads[prefix + name] = x.reshape(-1, d).T @ dy.reshape(-1, k)
     dx = dy @ w.T
     if lw.adapters is not None and name in lw.adapters:
         a, b = lw.adapters[name]
-        xa = cache["xa"]
         r = a.shape[1]
-        grads[prefix + f"adapters.{name}.b"] = xa.reshape(-1, r).T @ dy.reshape(-1, k)
+        grads[prefix + f"adapters.{name}.b"] = (x @ a).reshape(-1, r).T @ dy.reshape(-1, k)
         dxa = dy @ b.T
         grads[prefix + f"adapters.{name}.a"] = x.reshape(-1, d).T @ dxa.reshape(-1, r)
         dx = dx + dxa @ a.T
@@ -116,40 +103,31 @@ def forward_train(
     if not batch.mask.any(axis=1).all():
         raise DegenerateInputError("mask has a query row with no allowed key")
     heads, dk = config.heads, config.head_dim
-    scale = 1.0 / np.sqrt(dk)
 
-    x = batch.embeds + weights.pos_emb[batch.positions]
+    def split_heads(y: np.ndarray) -> np.ndarray:
+        return y.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+
+    x = embed_positions(batch.embeds, weights.pos_emb, batch.positions)
     x0 = x
     tape: list[dict] | None = [] if want_tape else None
 
     for lw in weights.layers:
-        rec: dict = {"x_in": x} if want_tape else {}
-        a_in, ln1_cache = _ln_forward(x, lw.ln1_g, lw.ln1_b)
-        q, q_cache = _proj_forward(a_in, lw.wq, lw, "wq")
-        k, k_cache = _proj_forward(a_in, lw.wk, lw, "wk")
-        v, v_cache = _proj_forward(a_in, lw.wv, lw, "wv")
-        qh = q.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
-        kh = k.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
-        vh = v.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
-        scores = np.where(batch.mask, qh @ kh.transpose(0, 1, 3, 2) * scale, -np.inf)
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        oh = probs @ vh
-        o = oh.transpose(0, 2, 1, 3).reshape(b, s, heads * dk)
-        attn, o_cache = _proj_forward(o, lw.wo, lw, "wo")
-        x1 = x + attn
-        f_in, ln2_cache = _ln_forward(x1, lw.ln2_g, lw.ln2_b)
+        a_in = layer_norm(x, lw.ln1_g, lw.ln1_b)
+        qh = split_heads(_project(a_in, lw.wq, lw, "wq"))
+        kh = split_heads(_project(a_in, lw.wk, lw, "wk"))
+        vh = split_heads(_project(a_in, lw.wv, lw, "wv"))
+        oh, probs = attention_core(qh, kh, vh, batch.mask)
+        o = oh.transpose(0, 2, 1, 3).reshape(b, s, d)
+        x1 = x + _project(o, lw.wo, lw, "wo")
+        f_in = layer_norm(x1, lw.ln2_g, lw.ln2_b)
         h_pre = f_in @ lw.w1
         h = gelu(h_pre)
-        x = x1 + h @ lw.w2
         if want_tape:
-            rec.update(
-                ln1=ln1_cache, q_cache=q_cache, k_cache=k_cache, v_cache=v_cache,
-                qh=qh, kh=kh, vh=vh, probs=probs, o_cache=o_cache,
-                x1=x1, ln2=ln2_cache, f_in=f_in, h_pre=h_pre, h=h,
+            tape.append(
+                dict(x_in=x, a_in=a_in, qh=qh, kh=kh, vh=vh, probs=probs, o=o,
+                     x1=x1, f_in=f_in, h_pre=h_pre, h=h)
             )
-            tape.append(rec)
+        x = x1 + h @ lw.w2
 
     logits = x @ weights.unembed
     if want_tape:
@@ -187,13 +165,13 @@ def backward(
         dh_pre = dh * gelu_grad(rec["h_pre"])
         grads[prefix + "w1"] = rec["f_in"].reshape(-1, d).T @ dh_pre.reshape(-1, config.ff_dim)
         d_f_in = dh_pre @ lw.w1.T
-        d_x1_ln, d_g2, d_b2 = _ln_backward(d_f_in, lw.ln2_g, rec["ln2"])
+        d_x1_ln, d_g2, d_b2 = _ln_backward(d_f_in, rec["x1"], lw.ln2_g)
         grads[prefix + "ln2_g"] = d_g2
         grads[prefix + "ln2_b"] = d_b2
         dx1 = dx + d_x1_ln
 
         # attention block: x1 = x_in + proj_o(attn(ln1(x_in)))
-        do = _proj_backward(dx1, lw.wo, lw, "wo", rec["o_cache"], grads, prefix)
+        do = _proj_backward(dx1, rec["o"], lw.wo, lw, "wo", grads, prefix)
         doh = do.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
         probs, qh, kh, vh = rec["probs"], rec["qh"], rec["kh"], rec["vh"]
         dprobs = doh @ vh.transpose(0, 1, 3, 2)
@@ -204,10 +182,11 @@ def backward(
         dq = dqh.transpose(0, 2, 1, 3).reshape(b, s, d)
         dk_ = dkh.transpose(0, 2, 1, 3).reshape(b, s, d)
         dv = dvh.transpose(0, 2, 1, 3).reshape(b, s, d)
-        d_a_in = _proj_backward(dq, lw.wq, lw, "wq", rec["q_cache"], grads, prefix)
-        d_a_in += _proj_backward(dk_, lw.wk, lw, "wk", rec["k_cache"], grads, prefix)
-        d_a_in += _proj_backward(dv, lw.wv, lw, "wv", rec["v_cache"], grads, prefix)
-        d_x_ln, d_g1, d_b1 = _ln_backward(d_a_in, lw.ln1_g, rec["ln1"])
+        a_in = rec["a_in"]
+        d_a_in = _proj_backward(dq, a_in, lw.wq, lw, "wq", grads, prefix)
+        d_a_in += _proj_backward(dk_, a_in, lw.wk, lw, "wk", grads, prefix)
+        d_a_in += _proj_backward(dv, a_in, lw.wv, lw, "wv", grads, prefix)
+        d_x_ln, d_g1, d_b1 = _ln_backward(d_a_in, rec["x_in"], lw.ln1_g)
         grads[prefix + "ln1_g"] = d_g1
         grads[prefix + "ln1_b"] = d_b1
         dx = dx1 + d_x_ln

@@ -68,13 +68,16 @@ class EvictionReport:
 
 
 def build_carrier_embedding(frame_embeddings: np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Collapse a frame's N token embeddings into one carrier embedding."""
-    if frame_embeddings.ndim != 2 or frame_embeddings.shape[0] == 0:
-        raise ShapeError(f"need a nonempty (N, d) frame, got {frame_embeddings.shape}")
+    """Collapse a frame's N token embeddings into one carrier embedding.
+
+    Takes (..., N, d), one frame or a stack of them, and reduces axis -2.
+    """
+    if frame_embeddings.ndim < 2 or frame_embeddings.shape[-2] == 0:
+        raise ShapeError(f"need nonempty (..., N, d) frames, got {frame_embeddings.shape}")
     if mode == "mean":
-        return frame_embeddings.mean(axis=0, dtype=frame_embeddings.dtype)
+        return frame_embeddings.mean(axis=-2, dtype=frame_embeddings.dtype)
     if mode == "last_token":
-        return frame_embeddings[-1].copy()
+        return frame_embeddings[..., -1, :].copy()
     raise SelectionError(f"unknown carrier mode {mode!r}")
 
 
@@ -117,33 +120,23 @@ class MemoryBank:
     def frame_indices(self) -> list[int]:
         return [c.frame_index for c in self.carriers]
 
-    def insert(
-        self,
-        record: CarrierRecord,
-        allow_eviction: bool = True,
-        allow_overflow: bool = False,
-    ) -> EvictionReport | None:
+    def insert(self, record: CarrierRecord, evict: bool = True) -> EvictionReport | None:
         """Insert a carrier, evicting per the configured rule when full.
 
         Returns the eviction report, or None when there was room. With
-        `allow_eviction=False` (replay runs, where evictions are applied
-        up front) a full bank is an error rather than a silent eviction,
-        unless `allow_overflow` lets the bank grow past capacity: a replay
-        schedule removes a recorded victim at the start of the *next*
-        ingest, so the bank legitimately holds capacity+1 records in the
-        gap between that insert and the scheduled removal.
+        `evict=False` (replay runs, where evictions are applied up front)
+        a full bank overflows instead: a replay schedule removes a
+        recorded victim at the start of the *next* ingest, so the bank
+        legitimately holds capacity+1 records in the gap between that
+        insert and the scheduled removal.
         """
         if self.carriers and record.frame_index <= self.carriers[-1].frame_index:
             raise OrderingError(
                 f"frame {record.frame_index} arrives after frame {self.carriers[-1].frame_index}"
             )
         full = len(self.carriers) >= self.capacity
-        if full and not allow_eviction and not allow_overflow:
-            raise CapacityError(
-                f"bank full at {self.capacity} and eviction disabled for frame {record.frame_index}"
-            )
         self._append(record)
-        if not (full and allow_eviction):
+        if not (full and evict):
             return None
         try:
             victim_idx, score = self._select_victim()

@@ -164,6 +164,11 @@ class StreamSession:
         self._next_position += m
         return logits
 
+    def _check_positions(self, need: int, what: str) -> None:
+        left = self.config.max_positions - self._next_position
+        if need > left:
+            raise CapacityError(f"{what} needs {need} positions, {left} of {self.config.max_positions} left")
+
     def _force_evict(self, frame_index: int, at: str) -> None:
         self.bank.remove(frame_index)
         removed = self.cache.delete_origin(frame_index)
@@ -174,7 +179,10 @@ class StreamSession:
     # -- public API ----------------------------------------------------------
 
     def ingest_frame(self, frame: FrameTokens) -> IngestReport:
-        """Prefill one frame, retain its carrier, evict on overflow."""
+        """Prefill one frame, retain its carrier, evict on overflow.
+
+        Raises `CapacityError` before any change if N+1 positions are not left.
+        """
         self._require_open()
         if self._materialized:
             raise StateError("memory-disabled session already answered; no more frames")
@@ -188,6 +196,8 @@ class StreamSession:
         t0 = time.perf_counter_ns()
         f0 = self._flops_total()
         carrier = self._carrier_of(frame)
+        if self.config.memory_enabled:
+            self._check_positions(n + 1, f"frame {frame.frame_index}")
 
         evicted: int | None = None
         score: float | None = None
@@ -198,11 +208,7 @@ class StreamSession:
                 for j in self.replay.before_frame.get(frame.frame_index, ()):
                     self._force_evict(j, at=f"frame:{frame.frame_index}")
             record = self.prefill_frame(frame, carrier)
-            outcome = self.bank.insert(
-                record,
-                allow_eviction=self.replay is None,
-                allow_overflow=self.replay is not None,
-            )
+            outcome = self.bank.insert(record, evict=self.replay is None)
             if outcome is not None:
                 evicted, score = outcome.frame_evicted, outcome.score
                 self.cache.delete_origin(evicted)
@@ -290,6 +296,11 @@ class StreamSession:
 
         Generated tokens are forwarded and retained as text, so follow-up
         questions see the full dialogue so far.
+
+        Worst-case position budget: the question plus all `max_new`
+        tokens (eos may stop decoding early), plus N+1 per frame the
+        first ask of a memory-disabled session prefills. If that many
+        positions are not left, `CapacityError` is raised before any change.
         """
         self._require_open()
         if max_new < 0:
@@ -297,6 +308,11 @@ class StreamSession:
         if len(question_ids) == 0:
             raise ShapeError("question must contain at least one token")
         _check_token_ids(question_ids, self.config.vocab_size, "question")
+        need = len(question_ids) + max_new
+        if not self._materialized:  # pending frames exist only with memory disabled
+            sampled = min(self.config.memory_capacity, len(self._pending_frames))
+            need += sampled * (self.config.tokens_per_frame + 1)
+        self._check_positions(need, "ask")
 
         if not self.config.memory_enabled and not self._materialized:
             self._materialize_pending()

@@ -208,12 +208,9 @@ class FlopCounter:
     def __init__(self, config: ModelConfig):
         self.config = config
         self.total = 0
-        self.steps: list[tuple[int, int, int]] = []  # (m_new, n_keys, flops)
 
     def add_step(self, m_new: int, n_keys: int) -> None:
-        cost = step_flops(self.config, m_new, n_keys)
-        self.total += cost
-        self.steps.append((m_new, n_keys, cost))
+        self.total += step_flops(self.config, m_new, n_keys)
 
 
 # ---------------------------------------------------------------------------

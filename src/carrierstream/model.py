@@ -361,9 +361,9 @@ class KvCache:
 
 
 def embed_positions(x: np.ndarray, pos_emb: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Add learned absolute position rows to the input embeddings."""
+    """Add learned absolute position rows to (s, d) or batched (b, s, d) embeddings."""
     positions = np.asarray(positions)
-    if x.ndim != 2 or x.shape[0] != positions.shape[0]:
+    if x.ndim not in (2, 3) or x.shape[-2] != positions.shape[0]:
         raise ShapeError(f"embeddings {x.shape} do not line up with {positions.shape[0]} positions")
     if positions.size and (positions.min() < 0 or positions.max() >= pos_emb.shape[0]):
         raise CapacityError(
@@ -380,6 +380,23 @@ def _project(x: np.ndarray, w: np.ndarray, lw: LayerWeights, name: str) -> np.nd
     return y
 
 
+def attention_core(
+    qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention over any leading batch axes; the engine,
+    the dense oracle and the trainer all run it.
+
+    qh: (..., h, m, dk); kh, vh: (..., h, n, dk); mask: (m, n_mask) boolean
+    allow-matrix over the last n_mask keys (earlier keys are visible). A
+    masked key's probability is exactly 0. Returns (out, probs (..., h, m, n)).
+    """
+    dk, n = qh.shape[-1], kh.shape[-2]
+    scores = qh @ np.swapaxes(kh, -1, -2) / np.sqrt(dk).astype(qh.dtype)
+    scores[..., n - mask.shape[-1] :][..., ~mask] = -np.inf
+    probs = softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
+    return probs @ vh, probs
+
+
 def attention_forward(
     q: np.ndarray,
     cached_k: np.ndarray,
@@ -389,15 +406,13 @@ def attention_forward(
     mask: np.ndarray,
     heads: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head scaled dot-product attention over cached + new keys.
+    """Multi-head attention of new queries over cached + new keys.
 
     q: (m, d); cached/new k, v: (n_cached, h, dk) and (n_new, h, dk);
     mask: (m, n_new) boolean allow-matrix over the new keys only. Cached
     keys are always visible. Returns (output (m, d), probs (h, m, n)).
     """
     m, d = q.shape
-    dk = d // heads
-    q3 = q.reshape(m, heads, dk)
     n_cached, n_new = cached_k.shape[0], new_k.shape[0]
     if mask.shape != (m, n_new):
         raise ShapeError(f"mask {mask.shape} does not cover ({m}, {n_new})")
@@ -406,13 +421,9 @@ def attention_forward(
         raise DegenerateInputError(f"query {bad} has no allowed key")
     keys = np.concatenate([cached_k, new_k], axis=0)
     values = np.concatenate([cached_v, new_v], axis=0)
-    n = n_cached + n_new
-
-    scores = np.einsum("mhd,nhd->hmn", q3, keys) / np.sqrt(dk).astype(q.dtype)
-    scores[:, :, n_cached:][:, ~mask] = -np.inf  # exp(-inf) gives masked keys exactly 0
-    probs = softmax_rows(scores.reshape(heads * m, n)).reshape(heads, m, n)
-    out = np.einsum("hmn,nhd->mhd", probs, values).reshape(m, d)
-    return out, probs
+    qh = q.reshape(m, heads, d // heads).transpose(1, 0, 2)
+    out, probs = attention_core(qh, keys.transpose(1, 0, 2), values.transpose(1, 0, 2), mask)
+    return out.transpose(1, 0, 2).reshape(m, d), probs
 
 
 def forward_step(

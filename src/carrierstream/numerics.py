@@ -1,10 +1,10 @@
 """Dense floating-point kernels shared by every other module.
 
 All kernels preserve the dtype of their inputs: the engine runs them on
-float32 arrays, the gradient-check path runs the same code on float64.
-They are single-threaded from numpy's point of view (no reduction is
-split across kernel calls), so repeated calls on identical inputs are
-bit-identical.
+float32 arrays, the trainer and gradient check call the same functions
+on float64. They are single-threaded from numpy's point of view (no
+reduction is split across kernel calls), so repeated calls on identical
+inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+LN_EPS = 1e-5  # the one layer-norm variance floor; the backward in autodiff uses it too
+
+
+def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     if v.shape[-1] != gain.shape[-1] or gain.shape != bias.shape:
         raise ShapeError(
@@ -58,7 +61,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine_similarity of a zero-norm vector")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+    # max and min return their first argument unless the second wins, so NaN passes
+    return min(max(float(a @ b) / (na * nb), -1.0), 1.0)
 
 
 # tanh-form GELU; the same constants are used by the gradient path so

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import TrainBatch, batch_loss, batch_loss_and_grads
-from .carrier import FrameTokens
+from .carrier import FrameTokens, build_carrier_embedding
 from .config import ModelConfig
 from .engine import StreamSession
 from .errors import ConfigError, SelectionError
@@ -146,11 +146,6 @@ def init_stub(task: TaskSpec, config: ModelConfig, seed: int) -> np.ndarray:
     return rng.uniform(-scale, scale, size=(task.alphabet, config.d_model)).astype(np.float32)
 
 
-def _collapse(frames: np.ndarray, mode: str) -> np.ndarray:
-    """Carrier embeddings from (..., N, d) frame blocks."""
-    return frames.mean(axis=-2) if mode == "mean" else frames[..., -1, :]
-
-
 def build_batch(
     weights: Weights,
     stub: np.ndarray,
@@ -176,7 +171,7 @@ def build_batch(
     symbols = np.stack([p.symbols for p in plans])  # (b, F, N)
     noise = np.stack([p.noise for p in plans])  # (b, F, N, d)
     frames = stub[symbols] + noise * task.noise_scale  # (b, F, N, d)
-    carriers = _collapse(frames, config.carrier_mode)  # (b, F, d)
+    carriers = build_carrier_embedding(frames, config.carrier_mode)  # (b, F, d)
 
     qf = np.stack([p.question_frames for p in plans])  # (b, Q)
     answers = symbols[np.arange(b)[:, None], qf, task.answer_row]  # (b, Q)

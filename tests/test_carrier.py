@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from carrierstream import carrier as carrier_module
 from carrierstream.config import EVICTION_RULES
 from carrierstream import (
-    CapacityError,
     CarrierRecord,
     DegenerateInputError,
     FrameTokens,
@@ -44,6 +43,22 @@ def test_carrier_mode_validation():
         build_carrier_embedding(np.ones((2, 2), np.float32), "median")
 
 
+@pytest.mark.parametrize("mode", ["mean", "last_token"])
+def test_stacked_frames_collapse_like_single_frames(mode):
+    rng = np.random.default_rng(2)
+    frames = rng.standard_normal((3, 2, 5, 8))  # (batch, frames, N, d)
+    stacked = build_carrier_embedding(frames, mode)
+    assert stacked.shape == (3, 2, 8)
+    for i in range(3):
+        for t in range(2):
+            assert np.array_equal(stacked[i, t], build_carrier_embedding(frames[i, t], mode))
+    with pytest.raises(SelectionError):
+        build_carrier_embedding(frames, "median")
+    for bad in (np.ones(8), np.ones((3, 0, 8))):
+        with pytest.raises(ShapeError):
+            build_carrier_embedding(bad, mode)
+
+
 def test_frame_tokens_validation():
     with pytest.raises(ShapeError):
         FrameTokens(0, np.zeros(4, dtype=np.float32))
@@ -61,10 +76,8 @@ def test_bank_ordering_and_capacity():
         bank.insert(record(0, rng.standard_normal(4)))
     bank.insert(record(3, rng.standard_normal(4)))
     assert bank.frame_indices() == [0, 3]
-    with pytest.raises(CapacityError):
-        bank.insert(record(4, rng.standard_normal(4)), allow_eviction=False)
     # replay runs may overflow by design; the schedule drains it later
-    bank.insert(record(4, rng.standard_normal(4)), allow_eviction=False, allow_overflow=True)
+    bank.insert(record(4, rng.standard_normal(4)), evict=False)
     assert len(bank) == 3
 
 
@@ -189,9 +202,7 @@ def test_bank_matches_oracle_under_mixed_operations(rule, capacity, ops):
         embs = [c.embedding.copy() for c in bank.carriers]
         evicting = op == "insert" and len(before) >= capacity
         report = bank.insert(
-            CarrierRecord(frame_index=t, embedding=emb, position=t),
-            allow_eviction=op == "insert",
-            allow_overflow=op == "overflow",
+            CarrierRecord(frame_index=t, embedding=emb, position=t), evict=op == "insert"
         )
         if evicting:
             slot, score = oracle_select_victim(embs, emb.copy(), rule)

@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert not any(tmp_path.iterdir()), f"{demo} left files behind"

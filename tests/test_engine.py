@@ -299,6 +299,54 @@ def test_zero_norm_carrier_is_rejected_before_any_state_changes(tiny_weights, ca
         assert len(session.cache) == len(SYSTEM) + len(session.bank)
 
 
+def _budget_session(tiny_weights, frames=3, **overrides):
+    # 2 system tokens + 3 frames of N+1 = 5 positions: with memory enabled
+    # the next position is 17 of 24
+    replay = overrides.pop("replay", None)
+    config = ModelConfig(
+        **{**tiny_weights.config.to_dict(), "max_positions": 24, "tokens_per_frame": 4,
+           "memory_capacity": 2, **overrides}
+    )
+    weights = init_model(config, seed=0)
+    session = StreamSession(config, weights, system_tokens=[1, 2], replay=replay)
+    for f in make_random_frames(frames, 4, config.d_model, seed=5):
+        session.ingest_frame(f)
+    return session
+
+
+def _session_state(session):
+    return (len(session.cache), session._next_position, session.bank.frame_indices(),
+            len(session.trace), len(session._pending_frames))
+
+
+def test_ask_past_the_position_budget_changes_nothing(tiny_weights):
+    # worst case 2 + 10 positions at position 17; with memory disabled the
+    # frames are only buffered (position 2), and the first ask also
+    # prefills 2 of the 3 of them, 5 positions each
+    cases = ((True, 10, 5, "ask needs 12 positions, 7 of 24 left"),
+             (False, 11, 10, "ask needs 23 positions, 22 of 24 left"))
+    for memory, max_new, fits, message in cases:
+        session = _budget_session(tiny_weights, memory_enabled=memory)
+        before = _session_state(session)
+        with pytest.raises(CapacityError) as err:
+            session.ask([5, 6], max_new=max_new)
+        assert _session_state(session) == before
+        assert message in str(err.value)
+        session.ask([5, 6], max_new=fits)  # exactly the positions left
+
+
+def test_ingest_past_the_position_budget_changes_nothing(tiny_weights):
+    # frames 0-3 fill positions 2-21; frame 4 needs 5 more with only 2 left,
+    # and its forced eviction of frame 0 is due first
+    session = _budget_session(tiny_weights, frames=4, replay=EvictionReplay(before_frame={4: (0,)}))
+    before = _session_state(session)
+    frame = make_random_frames(5, 4, session.config.d_model, seed=6)[-1]
+    with pytest.raises(CapacityError) as err:
+        session.ingest_frame(frame)
+    assert _session_state(session) == before
+    assert "frame 4 needs 5 positions, 2 of 24 left" in str(err.value)
+
+
 def test_carrier_and_kv_mode_ablations_differ(tiny_config, tiny_weights, tiny_frames):
     def logits_for(**overrides):
         config = ModelConfig(**{**tiny_config.to_dict(), **overrides})

@@ -214,6 +214,12 @@ def test_embed_positions_bounds(tiny_config, tiny_weights):
     np.testing.assert_array_equal(out[1], tiny_weights.pos_emb[5])
     with pytest.raises(CapacityError):
         embed_positions(x, tiny_weights.pos_emb, np.array([0, tiny_config.max_positions]))
+    batched = embed_positions(np.stack([x, x]), tiny_weights.pos_emb, np.array([0, 5]))
+    np.testing.assert_array_equal(batched[1], out)
+    with pytest.raises(CapacityError):
+        embed_positions(np.stack([x, x]), tiny_weights.pos_emb, np.array([-1, 5]))
+    with pytest.raises(ShapeError):
+        embed_positions(np.stack([x, x]), tiny_weights.pos_emb, np.array([0, 1, 2]))
 
 
 def test_forward_step_shapes_and_ordering(tiny_config, tiny_weights):

@@ -77,6 +77,34 @@ def test_cosine_similarity_clamped_and_guards_zero():
         cosine_similarity(np.zeros(4), np.ones(4))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["random", "parallel", "overflow"]),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_cosine_similarity_clamp_equals_np_clip(kind, dtype, d, seed):
+    # parallel vectors round past +-1, and float32 vectors near 1e19
+    # overflow into an inf/inf NaN that must pass through the clamp
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(d)
+    if kind == "random":
+        b = rng.standard_normal(d)
+    elif kind == "parallel":
+        b = rng.uniform(-5.0, 5.0) * a
+    else:
+        dtype = np.float32
+        a, b = 1e19 * a, 1e19 * rng.standard_normal(d)
+    a, b = a.astype(dtype), b.astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+        got = cosine_similarity(a, b)
+    expect = float(np.clip(ratio, -1.0, 1.0))
+    assert type(got) is float
+    assert got == expect or (np.isnan(got) and np.isnan(expect))
+
+
 def test_gelu_fixed_points():
     assert gelu(np.array(0.0)) == 0.0
     # gelu(x) -> x for large positive x, -> 0 for large negative x

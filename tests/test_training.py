@@ -3,6 +3,7 @@ import pytest
 
 from carrierstream import (
     ConfigError,
+    KvCache,
     ModelConfig,
     TaskSpec,
     TrainConfig,
@@ -12,6 +13,8 @@ from carrierstream import (
     build_batch,
     cross_entropy,
     evaluate_recall,
+    forward_step,
+    forward_train,
     frames_for_engine,
     grad_check,
     init_model,
@@ -24,6 +27,7 @@ from carrierstream import (
     trainable_paths,
     TrainBatch,
 )
+from carrierstream.masking import SegmentLayout, build_semantic_mask
 from carrierstream.training import _assemble_grads
 
 CFG = ModelConfig(
@@ -254,6 +258,35 @@ def test_stage_guards():
     no_adapters = init_model(ModelConfig(**{**CFG.to_dict(), "adapter_rank": 0}), seed=0)
     with pytest.raises(ConfigError):
         train_stage1(no_adapters, TASK, quick_cfg(1))
+
+
+def test_trainer_forward_equals_engine_forward():
+    # one model definition: at float64 the batched trainer and the engine's
+    # forward_step on a fresh cache give the same logits, bit for bit
+    config = ModelConfig(**{**CFG.to_dict(), "layers": 2})
+    layout = SegmentLayout(
+        system=len(TASK.system_ids),
+        frame_sizes=(config.tokens_per_frame,) * TASK.frames_per_stream,
+        text=TASK.text_len(),
+    )
+    spec = build_semantic_mask(layout)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        w64 = init_model(config, seed=seed).astype(np.float64)
+        for lw in w64.layers:
+            for name, (a, b) in lw.adapters.items():
+                lw.adapters[name] = (a, rng.normal(0.0, 0.4, size=b.shape))
+        stub = init_stub(TASK, config, seed=seed).astype(np.float64)
+        plans = [make_plan(TASK, config, rng) for _ in range(3)]
+        batch = build_batch(w64, stub, TASK, plans, stage=2)
+        assert np.array_equal(batch.mask, spec.allow)
+        logits, _, _ = forward_train(w64, batch, want_tape=False)
+        assert logits.dtype == np.float64
+        for i in range(len(plans)):
+            engine = forward_step(
+                w64, KvCache(config), batch.embeds[i], batch.positions, spec.allow, list(spec.tags)
+            )
+            assert np.array_equal(logits[i], engine), (seed, i)
 
 
 def test_grad_check_small():
