@@ -81,7 +81,6 @@ from .model import (
     iter_params,
     load_checkpoint,
     save_checkpoint,
-    set_param,
 )
 from .numerics import cosine_similarity, gelu, gelu_grad, layer_norm, softmax_rows
 from .training import (

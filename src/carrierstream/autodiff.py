@@ -73,13 +73,13 @@ def _ln_backward(
 
 
 def _proj_backward(
-    dy: np.ndarray, x: np.ndarray, w: np.ndarray, lw: LayerWeights, name: str, grads: dict, prefix: str
+    dy: np.ndarray, x: np.ndarray, lw: LayerWeights, name: str, grads: dict, prefix: str
 ) -> np.ndarray:
-    """Gradients of `_project(x, w, lw, name)`; x is the saved projection input."""
+    """Gradients of `_project(x, lw, name)`; x is the saved projection input."""
     d = x.shape[-1]
     k = dy.shape[-1]
     grads[prefix + name] = x.reshape(-1, d).T @ dy.reshape(-1, k)
-    dx = dy @ w.T
+    dx = dy @ getattr(lw, name).T
     if lw.adapters is not None and name in lw.adapters:
         a, b = lw.adapters[name]
         r = a.shape[1]
@@ -113,12 +113,12 @@ def forward_train(
 
     for lw in weights.layers:
         a_in = layer_norm(x, lw.ln1_g, lw.ln1_b)
-        qh = split_heads(_project(a_in, lw.wq, lw, "wq"))
-        kh = split_heads(_project(a_in, lw.wk, lw, "wk"))
-        vh = split_heads(_project(a_in, lw.wv, lw, "wv"))
+        qh = split_heads(_project(a_in, lw, "wq"))
+        kh = split_heads(_project(a_in, lw, "wk"))
+        vh = split_heads(_project(a_in, lw, "wv"))
         oh, probs = attention_core(qh, kh, vh, batch.mask)
         o = oh.transpose(0, 2, 1, 3).reshape(b, s, d)
-        x1 = x + _project(o, lw.wo, lw, "wo")
+        x1 = x + _project(o, lw, "wo")
         f_in = layer_norm(x1, lw.ln2_g, lw.ln2_b)
         h_pre = f_in @ lw.w1
         h = gelu(h_pre)
@@ -171,7 +171,7 @@ def backward(
         dx1 = dx + d_x1_ln
 
         # attention block: x1 = x_in + proj_o(attn(ln1(x_in)))
-        do = _proj_backward(dx1, rec["o"], lw.wo, lw, "wo", grads, prefix)
+        do = _proj_backward(dx1, rec["o"], lw, "wo", grads, prefix)
         doh = do.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
         probs, qh, kh, vh = rec["probs"], rec["qh"], rec["kh"], rec["vh"]
         dprobs = doh @ vh.transpose(0, 1, 3, 2)
@@ -183,9 +183,9 @@ def backward(
         dk_ = dkh.transpose(0, 2, 1, 3).reshape(b, s, d)
         dv = dvh.transpose(0, 2, 1, 3).reshape(b, s, d)
         a_in = rec["a_in"]
-        d_a_in = _proj_backward(dq, a_in, lw.wq, lw, "wq", grads, prefix)
-        d_a_in += _proj_backward(dk_, a_in, lw.wk, lw, "wk", grads, prefix)
-        d_a_in += _proj_backward(dv, a_in, lw.wv, lw, "wv", grads, prefix)
+        d_a_in = _proj_backward(dq, a_in, lw, "wq", grads, prefix)
+        d_a_in += _proj_backward(dk_, a_in, lw, "wk", grads, prefix)
+        d_a_in += _proj_backward(dv, a_in, lw, "wv", grads, prefix)
         d_x_ln, d_g1, d_b1 = _ln_backward(d_a_in, rec["x_in"], lw.ln1_g)
         grads[prefix + "ln1_g"] = d_g1
         grads[prefix + "ln1_b"] = d_b1

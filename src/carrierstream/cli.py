@@ -79,10 +79,7 @@ def load_run_config(path: str | None) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     model = ModelConfig.from_dict(data.get("model", {}))
-    task_data = data.get("task", {})
-    if "question_prefix" in task_data and task_data["question_prefix"] is not None:
-        task_data["question_prefix"] = tuple(task_data["question_prefix"])
-    task = _build(TaskSpec, task_data, "task")
+    task = _build(TaskSpec, data.get("task", {}), "task")
     train = data.get("train", {})
     stage1 = _build(TrainConfig, train.get("stage1", {}), "train.stage1", stage=1)
     stage2 = _build(TrainConfig, train.get("stage2", {}), "train.stage2", stage=2)

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateInputError,
     OracleError,
     OrderingError,
+    SelectionError,
     ShapeError,
     StateError,
 )
@@ -169,12 +170,17 @@ class StreamSession:
         if need > left:
             raise CapacityError(f"{what} needs {need} positions, {left} of {self.config.max_positions} left")
 
-    def _force_evict(self, frame_index: int, at: str) -> None:
-        self.bank.remove(frame_index)
-        removed = self.cache.delete_origin(frame_index)
-        if removed == 0:
-            raise StateError(f"carrier of frame {frame_index} missing from cache")
-        self._emit({"event": "forced_evict", "frame": frame_index, "at": at})
+    def _force_evict(self, victims: tuple[int, ...], at: str) -> None:
+        """Apply one replay entry. Every victim is checked (held by the bank,
+        listed once) before any is removed, so a bad entry changes nothing."""
+        held = self.bank.frame_indices()
+        if len(set(victims)) != len(victims) or not set(victims) <= set(held):
+            raise SelectionError(f"replay at {at} evicts {list(victims)}; the bank holds {held}")
+        for frame_index in victims:
+            self.bank.remove(frame_index)
+            if self.cache.delete_origin(frame_index) == 0:
+                raise StateError(f"carrier of frame {frame_index} missing from cache")
+            self._emit({"event": "forced_evict", "frame": frame_index, "at": at})
 
     # -- public API ----------------------------------------------------------
 
@@ -205,8 +211,9 @@ class StreamSession:
             self._pending_frames.append(frame)
         else:
             if self.replay is not None:
-                for j in self.replay.before_frame.get(frame.frame_index, ()):
-                    self._force_evict(j, at=f"frame:{frame.frame_index}")
+                self._force_evict(
+                    self.replay.before_frame.get(frame.frame_index, ()), at=f"frame:{frame.frame_index}"
+                )
             record = self.prefill_frame(frame, carrier)
             outcome = self.bank.insert(record, evict=self.replay is None)
             if outcome is not None:
@@ -317,8 +324,7 @@ class StreamSession:
         if not self.config.memory_enabled and not self._materialized:
             self._materialize_pending()
         if self.replay is not None and not self._ask_replay_done:
-            for j in self.replay.before_ask:
-                self._force_evict(j, at="ask")
+            self._force_evict(self.replay.before_ask, at="ask")
             self._ask_replay_done = True
 
         capture_start = len(self.capture.rows) if self.capture is not None else 0

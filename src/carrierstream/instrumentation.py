@@ -28,7 +28,6 @@ class CaptureFilter:
     """Which attention rows to keep. None means 'all'."""
 
     layers: tuple[int, ...] | None = None
-    heads: tuple[int, ...] | None = None
     query_tags: tuple[str, ...] | None = None
 
 
@@ -65,8 +64,6 @@ class AttentionCapture:
         heads, m, _ = probs.shape
         key_positions = np.asarray(key_positions, dtype=np.int64)
         for head in range(heads):
-            if f.heads is not None and head not in f.heads:
-                continue
             for qi in range(m):
                 if f.query_tags is not None and query_tags[qi] not in f.query_tags:
                     continue

@@ -16,8 +16,9 @@ except raw frame rows.
 from __future__ import annotations
 
 import json
+import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
@@ -56,6 +57,9 @@ class LayerWeights:
     adapters: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
 
+_LAYER_ARRAYS = tuple(f.name for f in fields(LayerWeights) if f.name != "adapters")
+
+
 @dataclass
 class Weights:
     config: ModelConfig
@@ -65,118 +69,70 @@ class Weights:
     unembed: np.ndarray
 
     def astype(self, dtype) -> "Weights":
-        layers = []
-        for lw in self.layers:
-            adapters = None
-            if lw.adapters is not None:
-                adapters = {
-                    k: (a.astype(dtype), b.astype(dtype)) for k, (a, b) in lw.adapters.items()
-                }
-            layers.append(
-                LayerWeights(
-                    *(getattr(lw, f).astype(dtype) for f in (
-                        "wq", "wk", "wv", "wo", "w1", "w2",
-                        "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-                    )),
-                    adapters=adapters,
-                )
-            )
-        return Weights(
-            config=self.config,
-            layers=layers,
-            tok_emb=self.tok_emb.astype(dtype),
-            pos_emb=self.pos_emb.astype(dtype),
-            unembed=self.unembed.astype(dtype),
-        )
+        return _weights_from_arrays(self.config, {p: a.astype(dtype) for p, a in iter_params(self)})
 
 
 def _matrix_order(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Declaration order of all weight arrays, shared by init and checkpoint IO."""
+    """The one declaration of the weight layout: (path, shape) of every
+    array, in checkpoint order. A layer's arrays sit at `layers.<i>.<field>`
+    and its adapter factors at `layers.<i>.adapters.<projection>.<a|b>`."""
     d, ff, r = config.d_model, config.ff_dim, config.adapter_rank
-    order: list[tuple[str, tuple[int, ...]]] = []
-    for layer in range(config.layers):
-        p = f"layers.{layer}."
-        order += [
-            (p + "wq", (d, d)), (p + "wk", (d, d)), (p + "wv", (d, d)), (p + "wo", (d, d)),
-            (p + "w1", (d, ff)), (p + "w2", (ff, d)),
-            (p + "ln1_g", (d,)), (p + "ln1_b", (d,)),
-            (p + "ln2_g", (d,)), (p + "ln2_b", (d,)),
-        ]
-        if r > 0:
-            for name in ADAPTED_PROJECTIONS:
-                order += [(p + f"adapters.{name}.a", (d, r)), (p + f"adapters.{name}.b", (r, d))]
-    order += [
+    layer = [
+        ("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
+        ("w1", (d, ff)), ("w2", (ff, d)),
+        ("ln1_g", (d,)), ("ln1_b", (d,)), ("ln2_g", (d,)), ("ln2_b", (d,)),
+    ]
+    if r > 0:
+        for name in ADAPTED_PROJECTIONS:
+            layer += [(f"adapters.{name}.a", (d, r)), (f"adapters.{name}.b", (r, d))]
+    order = []
+    for i in range(config.layers):
+        p = f"layers.{i}."
+        order += [(p + name, shape) for name, shape in layer]
+    return order + [
         ("tok_emb", (config.vocab_size, d)),
         ("pos_emb", (config.max_positions, d)),
         ("unembed", (d, config.vocab_size)),
     ]
-    return order
 
 
 def _weights_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Weights:
     """Assemble `Weights` from arrays keyed by their `_matrix_order` paths."""
-    layers = []
-    for layer in range(config.layers):
-        p = f"layers.{layer}."
+
+    def layer(p: str) -> LayerWeights:
         adapters = None
         if config.adapter_rank > 0:
             adapters = {
-                name: (arrays[p + f"adapters.{name}.a"], arrays[p + f"adapters.{name}.b"])
+                name: (arrays[f"{p}adapters.{name}.a"], arrays[f"{p}adapters.{name}.b"])
                 for name in ADAPTED_PROJECTIONS
             }
-        layers.append(
-            LayerWeights(
-                wq=arrays[p + "wq"], wk=arrays[p + "wk"], wv=arrays[p + "wv"], wo=arrays[p + "wo"],
-                w1=arrays[p + "w1"], w2=arrays[p + "w2"],
-                ln1_g=arrays[p + "ln1_g"], ln1_b=arrays[p + "ln1_b"],
-                ln2_g=arrays[p + "ln2_g"], ln2_b=arrays[p + "ln2_b"],
-                adapters=adapters,
-            )
-        )
-    return Weights(
-        config=config,
-        layers=layers,
-        tok_emb=arrays["tok_emb"],
-        pos_emb=arrays["pos_emb"],
-        unembed=arrays["unembed"],
-    )
+        return LayerWeights(**{f: arrays[p + f] for f in _LAYER_ARRAYS}, adapters=adapters)
+
+    layers = [layer(f"layers.{i}.") for i in range(config.layers)]
+    return Weights(config, layers, **{path: a for path, a in arrays.items() if "." not in path})
 
 
 def iter_params(weights: Weights) -> Iterable[tuple[str, np.ndarray]]:
-    """Yield (path, array) for every parameter, in declaration order."""
-    for layer, lw in enumerate(weights.layers):
-        p = f"layers.{layer}."
-        for f in ("wq", "wk", "wv", "wo", "w1", "w2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-            yield p + f, getattr(lw, f)
-        if lw.adapters is not None:
-            for name in ADAPTED_PROJECTIONS:
-                a, b = lw.adapters[name]
-                yield p + f"adapters.{name}.a", a
-                yield p + f"adapters.{name}.b", b
-    yield "tok_emb", weights.tok_emb
-    yield "pos_emb", weights.pos_emb
-    yield "unembed", weights.unembed
+    """Yield (path, array) for every parameter, in `_matrix_order`."""
+    for path, _ in _matrix_order(weights.config):
+        yield path, get_param(weights, path)
+
+
+_PARAM_PATH = re.compile(r"(?:layers\.(0|[1-9][0-9]*)\.)?(?:adapters\.(\w+)\.([ab])|(\w+))")
 
 
 def get_param(weights: Weights, path: str) -> np.ndarray:
-    for name, arr in iter_params(weights):
-        if name == path:
-            return arr
-    raise KeyError(path)
-
-
-def set_param(weights: Weights, path: str, value: np.ndarray) -> None:
-    parts = path.split(".")
-    if parts[0] == "layers":
-        lw = weights.layers[int(parts[1])]
-        if parts[2] == "adapters":
-            assert lw.adapters is not None
-            a, b = lw.adapters[parts[3]]
-            lw.adapters[parts[3]] = (value, b) if parts[4] == "a" else (a, value)
-        else:
-            setattr(lw, parts[2], value)
-    else:
-        setattr(weights, parts[0], value)
+    """The array at a `_matrix_order` path; any other path raises KeyError."""
+    match = _PARAM_PATH.fullmatch(path)
+    try:
+        layer, projection, factor, field = match.groups()
+        owner = weights if layer is None else weights.layers[int(layer)]
+        arr = owner.adapters[projection]["ab".index(factor)] if projection else getattr(owner, field)
+    except (AttributeError, IndexError, KeyError, TypeError):
+        raise KeyError(path) from None
+    if not isinstance(arr, np.ndarray):
+        raise KeyError(path)
+    return arr
 
 
 def init_model(config: ModelConfig, seed: int) -> Weights:
@@ -229,9 +185,8 @@ def save_checkpoint(path: str, weights: Weights, stub: np.ndarray | None = None)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        arrays = dict(iter_params(weights))
         for name, shape in _matrix_order(weights.config):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+            arr = np.ascontiguousarray(get_param(weights, name), dtype="<f4")
             if arr.shape != shape:
                 raise ShapeError(f"{name}: expected shape {shape}, found {arr.shape}")
             fh.write(arr.tobytes())
@@ -372,8 +327,9 @@ def embed_positions(x: np.ndarray, pos_emb: np.ndarray, positions: np.ndarray) -
     return x + pos_emb[positions]
 
 
-def _project(x: np.ndarray, w: np.ndarray, lw: LayerWeights, name: str) -> np.ndarray:
-    y = x @ w
+def _project(x: np.ndarray, lw: LayerWeights, name: str) -> np.ndarray:
+    """`x` times the layer's projection `name`, plus its adapter if attached."""
+    y = x @ getattr(lw, name)
     if lw.adapters is not None and name in lw.adapters:
         a, b = lw.adapters[name]
         y = y + (x @ a) @ b
@@ -472,9 +428,9 @@ def forward_step(
 
     for layer, lw in enumerate(weights.layers):
         a_in = layer_norm(x, lw.ln1_g, lw.ln1_b)
-        q = _project(a_in, lw.wq, lw, "wq")
-        k_new = _project(a_in, lw.wk, lw, "wk").reshape(m, heads, dk)
-        v_new = _project(a_in, lw.wv, lw, "wv").reshape(m, heads, dk)
+        q = _project(a_in, lw, "wq")
+        k_new = _project(a_in, lw, "wk").reshape(m, heads, dk)
+        v_new = _project(a_in, lw, "wv").reshape(m, heads, dk)
         attn, probs = attention_forward(q, cache.k[layer], cache.v[layer], k_new, v_new, mask, heads)
         if capture is not None:
             capture.observe(
@@ -485,7 +441,7 @@ def forward_step(
                 query_positions=positions,
                 query_tags=tuple(new_tags),
             )
-        x = x + _project(attn, lw.wo, lw, "wo")
+        x = x + _project(attn, lw, "wo")
         f_in = layer_norm(x, lw.ln2_g, lw.ln2_b)
         x = x + gelu(f_in @ lw.w1) @ lw.w2
         k_stash.append(k_new)

@@ -34,18 +34,16 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 LN_EPS = 1e-5  # the one layer-norm variance floor; the backward in autodiff uses it too
 
 
-def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
+def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     if v.shape[-1] != gain.shape[-1] or gain.shape != bias.shape:
         raise ShapeError(
             f"layer_norm length mismatch: v[..., {v.shape[-1]}], gain {gain.shape}, bias {bias.shape}"
         )
-    if eps <= 0:
-        raise ShapeError("eps must be positive")
     mean = v.mean(axis=-1, keepdims=True)
     centered = v - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + np.asarray(eps, dtype=v.dtype)) * gain + bias
+    return centered / np.sqrt(var + np.asarray(LN_EPS, dtype=v.dtype)) * gain + bias
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 The task: every token row of a frame shows its own symbol (a learnable
 embedding row plus noise), and questions of the form "<qmark> <frame-k>"
-are answered by the symbol in a fixed row (row 0 by default) of frame k.
+are answered by the symbol in row 0 of frame k.
 Chance is 1/alphabet. Because mean pooling is permutation-invariant, the
 carrier embedding alone cannot tell which row held which symbol; row
 identity survives only through the carrier's prefill attention over the
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .errors import ConfigError, SelectionError
 from .masking import SegmentLayout, build_semantic_mask
 from .model import Weights, get_param, iter_params
 
-TRAINABLE_SETS = ("adapters_and_stub", "backbone_only")
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -43,8 +42,7 @@ class TaskSpec:
     alphabet: int = 16
     questions_per_stream: int = 8
     noise_scale: float = 0.05
-    answer_row: int = 0  # which token row of a frame holds the queried symbol
-    question_prefix: tuple[int, ...] | None = None  # default (qmark_id,)
+    answer_row: ClassVar[int] = 0  # the token row of a frame that holds the queried symbol
 
     # token id layout: [0, alphabet) symbols, then one index token per
     # frame slot, then qmark, two system tokens, and a reserved eos
@@ -71,7 +69,7 @@ class TaskSpec:
         return self.alphabet + self.frames_per_stream + 4
 
     def prefix(self) -> tuple[int, ...]:
-        return self.question_prefix if self.question_prefix is not None else (self.qmark_id,)
+        return (self.qmark_id,)
 
     def question_len(self) -> int:
         return len(self.prefix()) + 1  # prefix tokens plus the frame-index token
@@ -83,10 +81,6 @@ class TaskSpec:
         if self.questions_per_stream < 1 or self.questions_per_stream > self.frames_per_stream:
             raise ConfigError(
                 f"{self.questions_per_stream} questions for {self.frames_per_stream} frames"
-            )
-        if not 0 <= self.answer_row < config.tokens_per_frame:
-            raise ConfigError(
-                f"answer_row {self.answer_row} outside {config.tokens_per_frame} token rows"
             )
         if config.vocab_size < self.required_vocab:
             raise ConfigError(
@@ -281,20 +275,18 @@ class TrainConfig:
     steps: int = 1000
     batch_size: int = 16
     lr: float = 3e-3
-    optimizer: str = "adam"
-    beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
-    trainable: str | None = None  # defaults by stage
     seed: int = 0
     log_every: int = 50
     target_loss: float | None = None  # early stop once reached
+    beta1: ClassVar[float] = 0.9
+    eps: ClassVar[float] = 1e-8
 
 
 class Optimizer:
+    """Adam over the parameters handed to `step`."""
+
     def __init__(self, cfg: TrainConfig):
-        if cfg.optimizer not in ("sgd", "adam"):
-            raise SelectionError(f"unknown optimizer {cfg.optimizer!r}")
         self.cfg = cfg
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
@@ -305,9 +297,6 @@ class Optimizer:
         self.t += 1
         for path, arr in params.items():
             g = grads[path]
-            if cfg.optimizer == "sgd":
-                arr -= cfg.lr * g
-                continue
             m = self.m.setdefault(path, np.zeros_like(arr))
             v = self.v.setdefault(path, np.zeros_like(arr))
             m *= cfg.beta1
@@ -323,12 +312,14 @@ def all_param_paths(weights: Weights) -> list[str]:
     return [p for p, _ in iter_params(weights)] + ["stub"]
 
 
-def trainable_paths(weights: Weights, trainable: str) -> list[str]:
-    if trainable == "adapters_and_stub":
+def trainable_paths(weights: Weights, stage: int) -> list[str]:
+    """The stage's parameter group: stage 1 trains the adapters and the
+    stub, stage 2 the backbone."""
+    if stage == 1:
         return [p for p, _ in iter_params(weights) if ".adapters." in p] + ["stub"]
-    if trainable == "backbone_only":
+    if stage == 2:
         return [p for p, _ in iter_params(weights) if ".adapters." not in p]
-    raise SelectionError(f"unknown trainable set {trainable!r}")
+    raise SelectionError(f"stage must be 1 or 2, got {stage}")
 
 
 def _assemble_grads(
@@ -340,13 +331,13 @@ def _assemble_grads(
 
 
 def _run_training(
-    weights: Weights, task: TaskSpec, cfg: TrainConfig, stub: np.ndarray, trainable: str
+    weights: Weights, task: TaskSpec, cfg: TrainConfig, stub: np.ndarray
 ) -> tuple[Weights, np.ndarray, list[dict]]:
     config = weights.config
     task.validate(config)
     w64 = weights.astype(np.float64)
     stub64 = stub.astype(np.float64)
-    paths = trainable_paths(w64, trainable)
+    paths = trainable_paths(w64, cfg.stage)
     params = {p: (stub64 if p == "stub" else get_param(w64, p)) for p in paths}
     opt = Optimizer(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -385,7 +376,7 @@ def train_stage1(
         raise ConfigError(f"stage-1 trainer got a stage-{cfg.stage} config")
     if stub is None:
         stub = init_stub(task, weights.config, cfg.seed)
-    return _run_training(weights, task, cfg, stub, cfg.trainable or "adapters_and_stub")
+    return _run_training(weights, task, cfg, stub)
 
 
 def train_stage2(
@@ -398,7 +389,7 @@ def train_stage2(
     """
     if cfg.stage != 2:
         raise ConfigError(f"stage-2 trainer got a stage-{cfg.stage} config")
-    return _run_training(weights, task, cfg, stub, cfg.trainable or "backbone_only")
+    return _run_training(weights, task, cfg, stub)
 
 
 # ---------------------------------------------------------------------------

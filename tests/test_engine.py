@@ -14,6 +14,7 @@ from carrierstream import (
     ModelConfig,
     OracleError,
     OrderingError,
+    SelectionError,
     ShapeError,
     StateError,
     StreamSession,
@@ -345,6 +346,24 @@ def test_ingest_past_the_position_budget_changes_nothing(tiny_weights):
         session.ingest_frame(frame)
     assert _session_state(session) == before
     assert "frame 4 needs 5 positions, 2 of 24 left" in str(err.value)
+
+
+def test_bad_replay_entry_changes_nothing(tiny_weights):
+    # frame 0 is in the bank but 99 never was, and a victim listed twice is
+    # as bad: the whole entry is rejected before any victim is removed
+    config = ModelConfig(**{**tiny_weights.config.to_dict(), "memory_capacity": 4})
+    frames = make_random_frames(4, config.tokens_per_frame, config.d_model, seed=3)
+    for replay, act in (
+        (EvictionReplay(before_ask=(0, 99)), lambda s: s.ask([5])),
+        (EvictionReplay(before_ask=(0, 0)), lambda s: s.ask([5])),
+        (EvictionReplay(before_frame={3: (0, 99)}), lambda s: s.ingest_frame(frames[3])),
+        (EvictionReplay(before_frame={3: (1, 1)}), lambda s: s.ingest_frame(frames[3])),
+    ):
+        session = stream_all(config, tiny_weights, frames[:3], replay=replay)
+        before = _session_state(session)
+        with pytest.raises(SelectionError):
+            act(session)
+        assert _session_state(session) == before
 
 
 def test_carrier_and_kv_mode_ablations_differ(tiny_config, tiny_weights, tiny_frames):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,6 @@ from carrierstream import (
     load_checkpoint,
     make_plan,
     save_checkpoint,
-    set_param,
     ConfigError,
     TaskSpec,
 )
@@ -143,9 +145,17 @@ def test_param_paths_roundtrip(tiny_weights):
     paths = [p for p, _ in iter_params(tiny_weights)]
     assert len(paths) == len(set(paths))
     assert "layers.0.wq" in paths and "unembed" in paths
-    probe = get_param(tiny_weights, "layers.1.w1")
-    set_param(tiny_weights, "layers.1.w1", probe * 2.0)
-    np.testing.assert_array_equal(get_param(tiny_weights, "layers.1.w1"), probe * 2.0)
+    w = init_model(ModelConfig(layers=2, adapter_rank=2), seed=0)
+    assert get_param(w, "layers.1.w1") is w.layers[1].w1
+    assert get_param(w, "layers.0.adapters.wv.b") is w.layers[0].adapters["wv"][1]
+    assert get_param(w, "pos_emb") is w.pos_emb
+    for bad in ("layers.2.wq", "layers.-1.wq", "layers.01.wq", "layers.0.nope", "layers.0.adapters",
+                "layers.0.adapters.w1.a", "layers.0.adapters.wq.c", "layers.0.wq.a", "adapters.wq.a",
+                "config", "layers", "stub", ""):
+        with pytest.raises(KeyError):
+            get_param(w, bad)
+    with pytest.raises(KeyError):
+        get_param(tiny_weights, "layers.0.adapters.wq.a")  # no adapters attached
 
 
 def test_checkpoint_roundtrip(tmp_path, tiny_weights):
@@ -157,6 +167,31 @@ def test_checkpoint_roundtrip(tmp_path, tiny_weights):
     for (pa, va), (pb, vb) in zip(iter_params(tiny_weights), iter_params(loaded.weights)):
         assert pa == pb
         np.testing.assert_array_equal(va, vb)
+
+
+def test_checkpoint_byte_layout_is_pinned(tmp_path):
+    # the expected bytes are assembled here, field by field, so a reordering
+    # of the arrays fails even though save and load would agree with each other
+    config = ModelConfig(layers=2, heads=2, d_model=8, ff_dim=12, vocab_size=10,
+                         max_positions=6, tokens_per_frame=2, memory_capacity=4, adapter_rank=2)
+    rng = np.random.default_rng(0)
+    w = init_model(config, seed=0)
+    for lw in w.layers:  # zero-init b factors would hide a swap of the two b's
+        for name, (a, b) in lw.adapters.items():
+            lw.adapters[name] = (a, rng.standard_normal(b.shape).astype(np.float32))
+    stub = rng.standard_normal((3, 8)).astype(np.float32)
+    cfg = {**config.to_dict(), "stub_alphabet": 3}
+    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    expected = [b"VSWT", struct.pack("<I", 1), struct.pack("<I", len(blob)), blob]
+    for lw in w.layers:
+        expected += [lw.wq, lw.wk, lw.wv, lw.wo, lw.w1, lw.w2, lw.ln1_g, lw.ln1_b, lw.ln2_g, lw.ln2_b]
+        expected += [lw.adapters["wq"][0], lw.adapters["wq"][1], lw.adapters["wk"][0], lw.adapters["wk"][1],
+                     lw.adapters["wv"][0], lw.adapters["wv"][1], lw.adapters["wo"][0], lw.adapters["wo"][1]]
+    expected += [w.tok_emb, w.pos_emb, w.unembed, stub]
+    path = tmp_path / "w.bin"
+    save_checkpoint(str(path), w, stub=stub)
+    raw = b"".join(x if isinstance(x, bytes) else np.asarray(x, dtype="<f4").tobytes() for x in expected)
+    assert path.read_bytes() == raw
 
 
 def test_checkpoint_roundtrip_with_stub(tmp_path, tiny_weights):

@@ -60,8 +60,6 @@ def test_task_spec_validation():
     with pytest.raises(ConfigError):
         TaskSpec(frames_per_stream=4, alphabet=64).validate(CFG)  # vocab overflow
     with pytest.raises(ConfigError):
-        TaskSpec(frames_per_stream=4, alphabet=16, answer_row=9).validate(CFG)
-    with pytest.raises(ConfigError):
         TaskSpec(frames_per_stream=4, alphabet=16, questions_per_stream=9).validate(CFG)
     TASK.validate(CFG)
 
@@ -164,16 +162,10 @@ def test_cross_entropy_hand_value():
     assert dlogits[0, 0].sum() == 0.0  # non-loss rows get no gradient
 
 
-def test_sgd_and_adam_single_step():
-    p = {"x": np.array([1.0, 2.0])}
-    g = {"x": np.array([0.5, -1.0])}
-    opt = Optimizer(TrainConfig(stage=1, optimizer="sgd", lr=0.1))
-    opt.step(p, g)
-    np.testing.assert_allclose(p["x"], [0.95, 2.1], atol=1e-12)
-
+def test_adam_single_step():
     p = {"x": np.array([1.0])}
     g = {"x": np.array([0.5])}
-    cfg = TrainConfig(stage=1, optimizer="adam", lr=0.1)
+    cfg = TrainConfig(stage=1, lr=0.1)
     Optimizer(cfg).step(p, g)
     # first Adam step moves by ~lr regardless of gradient scale
     expect = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + cfg.eps)
@@ -182,14 +174,14 @@ def test_sgd_and_adam_single_step():
 
 def test_trainable_path_selection():
     w = init_model(CFG, seed=0)
-    adapters = trainable_paths(w, "adapters_and_stub")
-    backbone = trainable_paths(w, "backbone_only")
+    adapters = trainable_paths(w, 1)
+    backbone = trainable_paths(w, 2)
     assert "stub" in adapters
     assert all(".adapters." in p or p == "stub" for p in adapters)
     assert not any(".adapters." in p or p == "stub" for p in backbone)
     assert set(adapters) | set(backbone) == set(all_param_paths(w))
     with pytest.raises(Exception):
-        trainable_paths(w, "everything")
+        trainable_paths(w, 3)
 
 
 def test_stage1_freezes_backbone_bitwise():
