@@ -45,7 +45,7 @@ session = StreamSession(
     config, weights, system_tokens=SYSTEM, capture=capture, flops=flops
 )
 for frame in make_random_frames(6, config.tokens_per_frame, config.d_model, seed=3):
-    session.ingest_frame(frame)
+    report = session.ingest_frame(frame)
 out = session.ask([9, 10], max_new=3, keep_logits=True)
 
 trace = record_attention(session)
@@ -65,11 +65,12 @@ with tempfile.TemporaryDirectory() as tmp:
     n = write_attention_csv(csv_path, trace)
     print(f"wrote {n} rows to {csv_path}")
 
-# Closed-form flop model: cost of one ingest step once the bank is full
-# depends only on shapes, so steady-state cost is flat.
+# Closed-form flop model: a step's cost depends only on its shape, so
+# steady-state cost is flat. An ingest reads no logits, so it runs (and
+# is priced at) less than a full step over the same rows.
 m_new = config.tokens_per_frame + 1
-n_keys = len(SYSTEM) + config.memory_capacity + m_new
-print(f"steady-state ingest flops: {step_flops(config, m_new, n_keys)}")
+n_keys = len(SYSTEM) + len(session.bank) - 1 + m_new  # keys seen by the last ingest
+print(f"last ingest flops: {report.flops} (a full step of its shape: {step_flops(config, m_new, n_keys)})")
 print(f"counter total so far: {flops.total}")
 session.close()
 

@@ -2,7 +2,8 @@
 
 The cost model is the whole point. Each `ingest_frame` runs the frame's
 N tokens plus one carrier through the model against the current cache,
-then throws the frame-token K/V away and keeps only the carrier. With a
+as far as the carrier's last-layer K/V (it reads no logits), then throws
+the frame-token K/V away and keeps only the carrier. With a
 bank capacity of M, cache size and per-ingest work stop growing once M
 carriers are resident, no matter how long the stream runs.
 
@@ -146,8 +147,10 @@ class StreamSession:
         kind: str,
         count: int,
         origin: int = -1,
+        logit_rows: slice | list[int] = slice(0),
     ) -> np.ndarray:
-        """Forward one segment against the cache and retain its persistent part."""
+        """Forward one segment against the cache and retain its persistent
+        part; returns the logits of `logit_rows` (by default none)."""
         spec = build_streaming_mask(kind, count)
         m = spec.n_queries
         positions = np.arange(self._next_position, self._next_position + m, dtype=np.int64)
@@ -161,6 +164,7 @@ class StreamSession:
             new_origins=[origin] * m,
             capture=self.capture,
             flops=self.flops,
+            logit_rows=logit_rows,
         )
         self._next_position += m
         return logits
@@ -173,9 +177,7 @@ class StreamSession:
     def _force_evict(self, victims: tuple[int, ...], at: str) -> None:
         """Apply one replay entry. Every victim is checked (held by the bank,
         listed once) before any is removed, so a bad entry changes nothing."""
-        held = self.bank.frame_indices()
-        if len(set(victims)) != len(victims) or not set(victims) <= set(held):
-            raise SelectionError(f"replay at {at} evicts {list(victims)}; the bank holds {held}")
+        _check_victims(victims, self.bank.frame_indices(), at)
         for frame_index in victims:
             self.bank.remove(frame_index)
             if self.cache.delete_origin(frame_index) == 0:
@@ -279,22 +281,25 @@ class StreamSession:
             frame_index=frame.frame_index, embedding=carrier.copy(), position=carrier_position
         )
 
-    def _materialize_pending(self) -> None:
-        """Memory-disabled path: evenly sample min(M, T) buffered frames and
-        prefill just those, in order, when the first question arrives."""
+    def _pending_sample(self) -> list[FrameTokens]:
+        """Memory-disabled path: the min(M, T) evenly spaced buffered frames
+        the first question prefills (none once materialized)."""
         t = len(self._pending_frames)
-        if t == 0:
-            self._materialized = True
-            return
+        if self._materialized or t == 0:
+            return []
         k = min(self.config.memory_capacity, t)
         idx = np.round(np.linspace(0, t - 1, k)).astype(int)
         if len(set(idx.tolist())) != k:
             raise StateError("even sampling produced duplicate frame slots")
-        for i in idx:
-            frame = self._pending_frames[int(i)]
+        return [self._pending_frames[int(i)] for i in idx]
+
+    def _materialize_pending(self, sample: list[FrameTokens]) -> None:
+        """Prefill the `_pending_sample` frames, in order, into the bank."""
+        for frame in sample:
             record = self.prefill_frame(frame, self._carrier_of(frame))
             self.bank.insert(record)
-        self._emit({"event": "materialize", "sampled": [int(self._pending_frames[int(i)].frame_index) for i in idx]})
+        if sample:
+            self._emit({"event": "materialize", "sampled": [int(f.frame_index) for f in sample]})
         self._pending_frames = []
         self._materialized = True
 
@@ -307,7 +312,8 @@ class StreamSession:
         Worst-case position budget: the question plus all `max_new`
         tokens (eos may stop decoding early), plus N+1 per frame the
         first ask of a memory-disabled session prefills. If that many
-        positions are not left, `CapacityError` is raised before any change.
+        positions are not left, `CapacityError` is raised before any change,
+        and so is the `SelectionError` of a bad `before_ask` replay entry.
         """
         self._require_open()
         if max_new < 0:
@@ -315,36 +321,43 @@ class StreamSession:
         if len(question_ids) == 0:
             raise ShapeError("question must contain at least one token")
         _check_token_ids(question_ids, self.config.vocab_size, "question")
-        need = len(question_ids) + max_new
-        if not self._materialized:  # pending frames exist only with memory disabled
-            sampled = min(self.config.memory_capacity, len(self._pending_frames))
-            need += sampled * (self.config.tokens_per_frame + 1)
+        sample = self._pending_sample()  # pending frames exist only with memory disabled
+        need = len(question_ids) + max_new + len(sample) * (self.config.tokens_per_frame + 1)
         self._check_positions(need, "ask")
+        replay_due = self.replay is not None and not self._ask_replay_done
+        if replay_due:
+            held = self.bank.frame_indices() + [f.frame_index for f in sample]
+            _check_victims(self.replay.before_ask, held, "ask")
 
         if not self.config.memory_enabled and not self._materialized:
-            self._materialize_pending()
-        if self.replay is not None and not self._ask_replay_done:
+            self._materialize_pending(sample)
+        if replay_due:
             self._force_evict(self.replay.before_ask, at="ask")
             self._ask_replay_done = True
 
         capture_start = len(self.capture.rows) if self.capture is not None else 0
         t0 = time.perf_counter_ns()
         emb = self.weights.tok_emb[np.asarray(question_ids)]
-        logits = self._forward_segment(emb, "text", len(question_ids))
+        # decoding reads the last row's logits; no step reads any other row
+        logits = self._forward_segment(
+            emb, "text", len(question_ids), logit_rows=slice(-1, None) if max_new else []
+        )
         prefill_us = (time.perf_counter_ns() - t0) / 1000.0
 
         tokens: list[int] = []
         step_logits: list[np.ndarray] | None = [] if keep_logits else None
-        row = logits[-1]
         t1 = time.perf_counter_ns()
-        for _ in range(max_new):
+        for step in range(max_new):
+            row = logits[-1]
             tid = int(np.argmax(row))
             tokens.append(tid)
             if step_logits is not None:
                 step_logits.append(row.copy())
-            out = self._forward_segment(self.weights.tok_emb[np.asarray([tid])], "text", 1)
-            row = out[-1]
-            if tid == self.config.eos_token_id:
+            last = tid == self.config.eos_token_id or step == max_new - 1
+            logits = self._forward_segment(
+                self.weights.tok_emb[np.asarray([tid])], "text", 1, logit_rows=[] if last else [0]
+            )
+            if last:
                 break
         decode_us = (time.perf_counter_ns() - t1) / 1000.0
 
@@ -402,6 +415,12 @@ class StreamSession:
         if self._trace_fh is not None:
             self._trace_fh.close()
             self._trace_fh = None
+
+
+def _check_victims(victims: tuple[int, ...], held: list[int], at: str) -> None:
+    """A replay entry may evict only frames the bank holds, each once."""
+    if len(set(victims)) != len(victims) or not set(victims) <= set(held):
+        raise SelectionError(f"replay at {at} evicts {list(victims)}; the bank holds {held}")
 
 
 def derive_replay(session: StreamSession) -> EvictionReplay:
@@ -502,8 +521,9 @@ def oracle_full_forward(
         allow,
         new_tags=list(spec.tags),
         capture=capture,
+        logit_rows=slice(layout.text_start, None),
     )
-    return OracleResult(logits=logits[layout.text_start :])
+    return OracleResult(logits=logits)
 
 
 def _evict_ordinals(

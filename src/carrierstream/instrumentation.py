@@ -2,8 +2,8 @@
 
 Everything here is strictly read-only with respect to the model: capture
 copies attention rows as they are computed and the flop counter applies
-a closed-form cost model, so enabling either leaves every logit
-bit-identical.
+a closed-form cost model to the rows each step ran, so enabling either
+leaves every logit bit-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +44,14 @@ class AttentionRow:
 
 
 class AttentionCapture:
-    """Observer handed to the forward pass; collects per-head attention rows."""
+    """Observer handed to the forward pass; collects per-head attention rows.
+
+    Only the query rows a layer ran are observed, against the keys that
+    layer ran: `forward_step` skips the queries no one reads, so an
+    ingest yields no last-layer rows and only the carrier's row in the
+    layer below, and the step that forwards an answer's final token
+    yields no last-layer row.
+    """
 
     def __init__(self, filter: CaptureFilter | None = None):
         self.filter = filter or CaptureFilter()
@@ -165,38 +173,53 @@ def write_attention_csv(path: str, trace: AttentionTrace, per_head: bool = False
 # ---------------------------------------------------------------------------
 
 
-def step_flops(config: ModelConfig, m_new: int, n_keys: int) -> int:
+def step_flops(
+    config: ModelConfig,
+    m_new: int,
+    n_keys: int,
+    layer_rows: Sequence[tuple[int, int, int]] | None = None,
+) -> int:
     """Closed-form flop model for one forward step.
 
-    m_new tokens attend n_keys total keys (cache plus themselves). Per
-    layer, with d = d_model, f = ff_dim, h = heads, r = adapter_rank:
+    m_new tokens are forwarded against n_keys - m_new cached keys.
+    `layer_rows` gives, per layer, how many rows it ran: (m_in rows
+    normalised, m_q query rows, m_kv key rows), as `forward_step` plans
+    them; by default every layer runs all m_new rows. A layer's queries
+    attend n = n_keys - m_new + m_kv keys. Per layer, with d = d_model,
+    f = ff_dim, h = heads, r = adapter_rank:
 
-      layer norms        2 * 8*m*d
-      q/k/v/o projections 4 * 2*m*d*d  (+ 4 * 4*m*d*r with adapters)
-      scores q.k^T       2*m*n*d
-      softmax            4*h*m*n
-      probs.v            2*m*n*d
-      ffn                2*m*d*f * 2 + 10*m*f   (10 flops/element for gelu)
-      residual adds      2*m*d
+      layer norms        8*m_in*d + 8*m_q*d
+      k/v projections    2 * 2*m_kv*d*d  (+ 2 * 4*m_kv*d*r with adapters)
+      q/o projections    2 * 2*m_q*d*d   (+ 2 * 4*m_q*d*r with adapters)
+      scores q.k^T       2*m_q*n*d
+      softmax            4*h*m_q*n
+      probs.v            2*m_q*n*d
+      ffn                2*m_q*d*f * 2 + 10*m_q*f   (10 flops/element for gelu)
+      residual adds      2*m_q*d
 
-    plus the unembedding 2*m*d*vocab. The constants are a convention;
-    what matters downstream is that the count is a pure function of
-    (m_new, n_keys), so it is identical for any two steps of equal shape.
+    plus the unembedding 2*m*d*vocab of the last layer's m query rows,
+    the rows whose logits are read. The constants are a convention;
+    what matters downstream is that the count is a pure function of the
+    step's shape, so it is identical for any two steps of equal shape.
     """
     d, f, h, r = config.d_model, config.ff_dim, config.heads, config.adapter_rank
-    m, n = m_new, n_keys
-    per_layer = (
-        2 * 8 * m * d
-        + 4 * 2 * m * d * d
-        + (4 * 4 * m * d * r if r > 0 else 0)
-        + 2 * m * n * d
-        + 4 * h * m * n
-        + 2 * m * n * d
-        + 2 * (2 * m * d * f)
-        + 10 * m * f
-        + 2 * m * d
-    )
-    return config.layers * per_layer + 2 * m * d * config.vocab_size
+    if layer_rows is None:
+        layer_rows = [(m_new, m_new, m_new)] * config.layers
+    total = 0
+    for m_in, m_q, m_kv in layer_rows:
+        n = n_keys - m_new + m_kv
+        total += (
+            8 * m_in * d + 8 * m_q * d
+            + 2 * 2 * (m_kv + m_q) * d * d
+            + (2 * 4 * (m_kv + m_q) * d * r if r > 0 else 0)
+            + 2 * m_q * n * d
+            + 4 * h * m_q * n
+            + 2 * m_q * n * d
+            + 2 * (2 * m_q * d * f)
+            + 10 * m_q * f
+            + 2 * m_q * d
+        )
+    return total + 2 * layer_rows[-1][1] * d * config.vocab_size
 
 
 class FlopCounter:
@@ -206,8 +229,10 @@ class FlopCounter:
         self.config = config
         self.total = 0
 
-    def add_step(self, m_new: int, n_keys: int) -> None:
-        self.total += step_flops(self.config, m_new, n_keys)
+    def add_step(
+        self, m_new: int, n_keys: int, layer_rows: Sequence[tuple[int, int, int]] | None = None
+    ) -> None:
+        self.total += step_flops(self.config, m_new, n_keys, layer_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ position sequence, which is never re-packed.
 full semantic mask). Every new token sees the whole cache, so masks
 cover only the new tokens, and the cache keeps every forwarded token
 except raw frame rows.
+
+A step computes only the rows someone reads. The caller names the rows
+whose logits it reads; each layer then runs the query path for the
+rows the layer above reads and K/V for the cached rows plus the keys
+those queries see. An ingest reads no logits: its last layer computes
+only the carrier's K/V, and the layer below runs only the carrier's
+query. A step that reads every row runs every row through every layer.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass, fields
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -382,6 +389,56 @@ def attention_forward(
     return out.transpose(1, 0, 2).reshape(m, d), probs
 
 
+class _LayerRows(NamedTuple):
+    """The new rows one layer runs, as boolean (m,) masks over the step's
+    rows, and where its key and query rows sit (None: all of them)."""
+
+    inputs: np.ndarray
+    queries: np.ndarray
+    keys: np.ndarray
+    key_in: np.ndarray | None  # key rows among the input rows
+    query_in: np.ndarray | None  # query rows among the input rows
+    kept: np.ndarray | None  # cacheable rows among the key rows
+    mask: np.ndarray  # the step's mask, query rows by key rows
+
+
+def _row_plan(
+    mask: np.ndarray, cacheable: np.ndarray, read: np.ndarray, layers: int
+) -> list[_LayerRows]:
+    """Which new rows each layer runs, first layer first.
+
+    One pass down from the top: a layer's query rows are the rows the
+    layer above reads (at the last layer, the rows whose logits are
+    read); its key rows are the cacheable rows plus every new key a
+    query row may see; its input rows are the union of the two, and the
+    layer below must produce them. When every row is read, every layer
+    runs every row.
+    """
+    if read.all():
+        return [_LayerRows(read, read, read, None, None, _within(cacheable, read), mask)] * layers
+    plan = []
+    queries = read
+    for _ in range(layers):
+        keys = cacheable | mask[queries].any(axis=0)
+        inputs = queries | keys
+        plan.append(_LayerRows(
+            inputs, queries, keys, _within(keys, inputs), _within(queries, inputs),
+            _within(cacheable, keys), mask[queries][:, keys],
+        ))
+        queries = inputs
+    return plan[::-1]
+
+
+def _within(sub: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
+    """Index of the `sub` rows among the `rows` rows; None when they are all of them."""
+    local = sub[rows]
+    return None if local.all() else np.flatnonzero(local)
+
+
+def _take(a: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    return a if index is None else a[index]
+
+
 def forward_step(
     weights: Weights,
     cache: KvCache,
@@ -392,16 +449,27 @@ def forward_step(
     new_origins: Sequence[int] | None = None,
     capture=None,
     flops=None,
+    *,
+    logit_rows: slice | Sequence[int] = slice(None),
 ) -> np.ndarray:
-    """Run new tokens through every layer against the live cache.
+    """Run new tokens through the layers against the live cache.
 
     Position embeddings are added here. `mask` is the (m, m) block over
     the new tokens; every cached entry is visible to every new token.
     After the pass, K/V of the new tokens whose tag is in `CACHEABLE_TAGS`
-    (all but raw frame rows) are appended to the cache. Returns logits
-    of shape (m, vocab). `capture` (attention observer) and `flops`
-    (step counter) are optional instrumentation hooks; neither affects
-    any computed value.
+    (all but raw frame rows) are appended to the cache.
+
+    `logit_rows` (a slice or row indices; default all) names the rows
+    whose logits the caller reads, and the logits of those rows, in
+    row order, are returned: shape (len(rows), vocab). Each layer runs
+    only the rows someone reads (`_row_plan`): the cacheable rows' K/V,
+    and the query path of the rows the layer above or the caller reads.
+    An ingest reads no rows, so the last layer computes only the
+    carrier's K/V and the layer below it runs only the carrier's query.
+    When every row is read, every layer runs every row.
+
+    `capture` (attention observer) and `flops` (step counter) are
+    optional instrumentation hooks; neither affects any computed value.
     """
     config = weights.config
     m = new_embeddings.shape[0]
@@ -420,40 +488,56 @@ def forward_step(
         )
     if mask.shape != (m, m):
         raise ShapeError(f"mask {mask.shape}, expected ({m}, {m})")
+    read = np.zeros(m, dtype=bool)
+    try:
+        read[logit_rows] = True
+    except IndexError:
+        raise ShapeError(f"logit rows {logit_rows!r} outside {m} new tokens") from None
 
-    x = embed_positions(new_embeddings, weights.pos_emb, positions)
+    cacheable = np.array([t in CACHEABLE_TAGS for t in new_tags], dtype=bool)
+    plan = _row_plan(mask, cacheable, read, config.layers)
     heads, dk = config.heads, config.head_dim
+    first = plan[0].inputs
+    x = embed_positions(new_embeddings[first], weights.pos_emb, positions[first])
     k_stash: list[np.ndarray] = []
     v_stash: list[np.ndarray] = []
 
-    for layer, lw in enumerate(weights.layers):
+    # x holds the layer's input rows; each layer leaves its query rows,
+    # which are the next layer's input rows
+    for layer, (lw, rows) in enumerate(zip(weights.layers, plan)):
         a_in = layer_norm(x, lw.ln1_g, lw.ln1_b)
-        q = _project(a_in, lw, "wq")
-        k_new = _project(a_in, lw, "wk").reshape(m, heads, dk)
-        v_new = _project(a_in, lw, "wv").reshape(m, heads, dk)
-        attn, probs = attention_forward(q, cache.k[layer], cache.v[layer], k_new, v_new, mask, heads)
+        key_in = _take(a_in, rows.key_in)
+        k_new = _project(key_in, lw, "wk").reshape(-1, heads, dk)
+        v_new = _project(key_in, lw, "wv").reshape(-1, heads, dk)
+        k_stash.append(_take(k_new, rows.kept))
+        v_stash.append(_take(v_new, rows.kept))
+        if rows.mask.shape[0] == 0:  # no query row: the layer ends at its K/V
+            x = x[:0]
+            continue
+        q = _project(_take(a_in, rows.query_in), lw, "wq")
+        attn, probs = attention_forward(q, cache.k[layer], cache.v[layer], k_new, v_new, rows.mask, heads)
         if capture is not None:
             capture.observe(
                 layer=layer,
                 probs=probs,
-                key_positions=np.concatenate([cache.positions, positions]),
-                key_tags=tuple(cache.tags) + tuple(new_tags),
-                query_positions=positions,
-                query_tags=tuple(new_tags),
+                key_positions=np.concatenate([cache.positions, positions[rows.keys]]),
+                key_tags=tuple(cache.tags) + tuple(t for t, keyed in zip(new_tags, rows.keys) if keyed),
+                query_positions=positions[rows.queries],
+                query_tags=tuple(t for t, asks in zip(new_tags, rows.queries) if asks),
             )
-        x = x + _project(attn, lw, "wo")
+        x = _take(x, rows.query_in) + _project(attn, lw, "wo")
         f_in = layer_norm(x, lw.ln2_g, lw.ln2_b)
         x = x + gelu(f_in @ lw.w1) @ lw.w2
-        k_stash.append(k_new)
-        v_stash.append(v_new)
 
     logits = x @ weights.unembed
     if flops is not None:
-        flops.add_step(m, len(cache) + m)
+        counts = [(int(r.inputs.sum()), int(r.queries.sum()), int(r.keys.sum())) for r in plan]
+        flops.add_step(m, len(cache) + m, counts)
 
-    keep = np.array([t in CACHEABLE_TAGS for t in new_tags], dtype=bool)
     origins = np.asarray(
         new_origins if new_origins is not None else [-1] * m, dtype=np.int64
     )
-    cache.append(k_stash, v_stash, keep, new_tags, positions, origins)
+    kept_tags = [t for t, c in zip(new_tags, cacheable) if c]
+    cache.append(k_stash, v_stash, np.ones(len(kept_tags), dtype=bool), kept_tags,
+                  positions[cacheable], origins[cacheable])
     return logits

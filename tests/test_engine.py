@@ -366,6 +366,24 @@ def test_bad_replay_entry_changes_nothing(tiny_weights):
         assert _session_state(session) == before
 
 
+def test_bad_ask_replay_on_a_memory_disabled_session_changes_nothing(tiny_weights):
+    # the first ask prefills the sampled buffered frames; an entry naming a
+    # frame outside that sample is rejected before any of them is prefilled
+    config = ModelConfig(
+        **{**tiny_weights.config.to_dict(), "memory_capacity": 4, "memory_enabled": False}
+    )
+    frames = make_random_frames(3, config.tokens_per_frame, config.d_model, seed=3)
+    session = stream_all(config, tiny_weights, frames, replay=EvictionReplay(before_ask=(0, 99)))
+    before = _session_state(session)
+    with pytest.raises(SelectionError):
+        session.ask([5])
+    assert _session_state(session) == before
+
+    good = stream_all(config, tiny_weights, copy_frames(frames), replay=EvictionReplay(before_ask=(0,)))
+    good.ask([5])
+    assert good.bank.frame_indices() == [1, 2]
+
+
 def test_carrier_and_kv_mode_ablations_differ(tiny_config, tiny_weights, tiny_frames):
     def logits_for(**overrides):
         config = ModelConfig(**{**tiny_config.to_dict(), **overrides})

@@ -150,6 +150,16 @@ def test_ingest_flops_constant_once_bank_is_full(tiny_weights):
     assert reports[0].flops < full[0]  # early cache is smaller
 
 
+def test_ingest_is_priced_as_what_it_ran(tiny_config, tiny_weights, tiny_frames):
+    # an ingest reads no logits, so it skips the unembedding, the last
+    # layer's frame rows and the query path above the carrier's last K/V
+    counter = FlopCounter(tiny_config)
+    session = StreamSession(tiny_config, tiny_weights, system_tokens=SYSTEM, flops=counter)
+    n = tiny_config.tokens_per_frame
+    report = session.ingest_frame(tiny_frames[0])
+    assert 0 < report.flops < step_flops(tiny_config, n + 1, len(SYSTEM) + n + 1)
+
+
 def test_bench_serving_summary_schema():
     config = ModelConfig(layers=1, heads=2, d_model=16, ff_dim=32, vocab_size=32,
                          tokens_per_frame=4, memory_capacity=8, max_positions=4096)

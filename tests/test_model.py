@@ -1,3 +1,4 @@
+import copy
 import json
 import struct
 
@@ -30,7 +31,9 @@ from carrierstream import (
     make_plan,
     save_checkpoint,
     ConfigError,
+    FlopCounter,
     TaskSpec,
+    step_flops,
 )
 
 
@@ -272,6 +275,47 @@ def test_forward_step_shapes_and_ordering(tiny_config, tiny_weights):
         forward_step(tiny_weights, cache, emb[:1], np.array([1]), mask2, new_tags=["text"])
     with pytest.raises(ShapeError):
         forward_step(tiny_weights, cache, emb[:1], np.array([5]), mask2, new_tags=["text", "text"])
+
+
+@pytest.mark.parametrize("kind", ["frame", "carrier", "text"])  # inherited, embedding_only, ask
+def test_forward_step_runs_only_the_rows_read(kind):
+    config = ModelConfig(layers=3, heads=2, d_model=32, ff_dim=64, vocab_size=64,
+                         max_positions=64, tokens_per_frame=8)
+    weights = init_model(config, seed=0)
+    live = KvCache(config)
+    system = build_streaming_mask("system", 3)
+    forward_step(weights, live, weights.tok_emb[[1, 2, 3]], np.arange(3), system.allow,
+                 list(system.tags))
+    spec = build_streaming_mask(kind, 1 if kind == "carrier" else config.tokens_per_frame)
+    m = spec.n_queries
+    emb = np.random.default_rng(0).standard_normal((m, config.d_model)).astype(np.float32)
+
+    def run(**kwargs):
+        cache, counter = copy.deepcopy(live), FlopCounter(config)
+        logits = forward_step(weights, cache, emb, np.arange(3, 3 + m), spec.allow,
+                              list(spec.tags), [0] * m, flops=counter, **kwargs)
+        return logits, cache, counter.total
+
+    full, full_cache, full_flops = run()
+    listed, _, _ = run(logit_rows=list(range(m)))
+    none, none_cache, none_flops = run(logit_rows=[])
+    last, _, _ = run(logit_rows=slice(-1, None))
+
+    assert full.shape == (m, config.vocab_size)
+    assert np.array_equal(listed, full)
+    assert full_flops == step_flops(config, m, len(live) + m)
+    assert none.shape == (0, config.vocab_size)
+    assert 0 < none_flops < full_flops
+    np.testing.assert_allclose(last, full[-1:], rtol=0, atol=1e-5)
+    assert none_cache.tags == full_cache.tags
+    np.testing.assert_array_equal(none_cache.positions, full_cache.positions)
+    for layer in range(config.layers - 1):
+        assert np.array_equal(none_cache.k[layer], full_cache.k[layer])
+        assert np.array_equal(none_cache.v[layer], full_cache.v[layer])
+    np.testing.assert_allclose(none_cache.k[-1], full_cache.k[-1], rtol=0, atol=1e-5)
+    np.testing.assert_allclose(none_cache.v[-1], full_cache.v[-1], rtol=0, atol=1e-5)
+    with pytest.raises(ShapeError):
+        run(logit_rows=[m])
 
 
 def test_config_validation():
