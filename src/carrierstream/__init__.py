@@ -64,6 +64,7 @@ from .instrumentation import (
 from .masking import (
     MaskSpec,
     SegmentLayout,
+    build_dense_layout,
     build_semantic_mask,
     build_streaming_mask,
     remove_carrier_visibility,

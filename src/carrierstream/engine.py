@@ -7,9 +7,10 @@ the frame-token K/V away and keeps only the carrier. With a
 bank capacity of M, cache size and per-ingest work stop growing once M
 carriers are resident, no matter how long the stream runs.
 
-`oracle_full_forward` is the reference implementation: the same layout
-evaluated in one batched pass under the full semantic mask. Streaming
-and oracle agree on question logits to float32 accumulation error.
+`oracle_full_forward` is the reference implementation for every variant:
+the same layout evaluated in one batched pass under the full semantic
+mask. Streaming and oracle agree on question logits to float32
+accumulation error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .masking import SegmentLayout, build_semantic_mask, build_streaming_mask
+from .masking import build_dense_layout, build_streaming_mask
 from .model import KvCache, Weights, forward_step
 
 
@@ -102,6 +103,7 @@ class StreamSession:
         if not weights.config.compatible_with(config):
             raise ConfigError("weights were built for a different model shape")
         _check_token_ids(system_tokens or [], config.vocab_size, "system")
+        _check_replay_fits(config, replay)
         self.config = config
         self.weights = weights
         self.cache = KvCache(config)
@@ -284,14 +286,7 @@ class StreamSession:
     def _pending_sample(self) -> list[FrameTokens]:
         """Memory-disabled path: the min(M, T) evenly spaced buffered frames
         the first question prefills (none once materialized)."""
-        t = len(self._pending_frames)
-        if self._materialized or t == 0:
-            return []
-        k = min(self.config.memory_capacity, t)
-        idx = np.round(np.linspace(0, t - 1, k)).astype(int)
-        if len(set(idx.tolist())) != k:
-            raise StateError("even sampling produced duplicate frame slots")
-        return [self._pending_frames[int(i)] for i in idx]
+        return [] if self._materialized else _even_sample(self._pending_frames, self.config.memory_capacity)
 
     def _materialize_pending(self, sample: list[FrameTokens]) -> None:
         """Prefill the `_pending_sample` frames, in order, into the bank."""
@@ -417,6 +412,21 @@ class StreamSession:
             self._trace_fh = None
 
 
+def _even_sample(frames: list[FrameTokens], capacity: int) -> list[FrameTokens]:
+    """The min(capacity, T) evenly spaced frames, first and last included,
+    that a memory-disabled session prefills at its first question. The
+    slots are at least one apart, so rounding keeps them distinct."""
+    idx = np.round(np.linspace(0, len(frames) - 1, min(capacity, len(frames)))).astype(int)
+    return [frames[int(i)] for i in idx]
+
+
+def _check_replay_fits(config: ModelConfig, replay: EvictionReplay | None) -> None:
+    """A memory-disabled session only buffers frames until its first
+    question, so there is no bank to evict from before a frame."""
+    if not config.memory_enabled and replay is not None and replay.before_frame:
+        raise ConfigError("with memory disabled a replay may evict only before_ask, not before_frame")
+
+
 def _check_victims(victims: tuple[int, ...], held: list[int], at: str) -> None:
     """A replay entry may evict only frames the bank holds, each once."""
     if len(set(victims)) != len(victims) or not set(victims) <= set(held):
@@ -465,59 +475,51 @@ def oracle_full_forward(
 ) -> OracleResult:
     """Reference single-pass evaluation of a whole stream.
 
-    Materializes [system][frame tokens, carrier] x T [question] with the
-    positions the streaming engine would assign, applies the full
-    semantic mask (with evicted carriers hidden according to `replay`),
-    and runs one batched forward. Only the no-eviction regime (or an
-    explicit replay schedule) is supported, and only the KV-inheriting
-    carrier variant; anything else has no exact dense equivalent.
+    Materializes the stream's `build_dense_layout` (empty frame spans for
+    `embedding_only`) at the positions the engine assigns, hides evicted
+    carriers as `replay` schedules, and runs one batched forward under the
+    semantic mask. With memory disabled the layout covers the frames the
+    first question prefills (`_even_sample`), right after the system
+    tokens. With memory on, a stream longer than the bank evicts by score,
+    which has no dense equivalent, so it needs a replay.
     """
     config = weights.config
-    if config.carrier_kv_mode != "inherited" or not config.memory_enabled:
-        raise OracleError("the dense oracle covers only the default carrier variant")
-    if replay is None and len(frames) > config.memory_capacity:
+    _check_replay_fits(config, replay)
+    _check_token_ids(system_tokens, config.vocab_size, "system")
+    _check_token_ids(question_ids, config.vocab_size, "question")
+    n, d = config.tokens_per_frame, config.d_model
+    for frame in frames:
+        if frame.embeddings.shape != (n, d):
+            raise ShapeError(f"frame {frame.embeddings.shape}, expected ({n}, {d})")
+    if not config.memory_enabled:
+        frames = _even_sample(frames, config.memory_capacity)
+    elif replay is None and len(frames) > config.memory_capacity:
         raise OracleError(
             f"{len(frames)} frames exceed capacity {config.memory_capacity}; supply a replay schedule"
         )
-    _check_token_ids(system_tokens, config.vocab_size, "system")
-    _check_token_ids(question_ids, config.vocab_size, "question")
 
-    n, d = config.tokens_per_frame, config.d_model
-    rows = [weights.tok_emb[np.asarray(system_tokens)]] if system_tokens else []
-    for frame in frames:
-        emb = np.asarray(frame.embeddings, dtype=np.float32)
-        if emb.shape != (n, d):
-            raise ShapeError(f"frame {emb.shape}, expected ({n}, {d})")
-        carrier = build_carrier_embedding(emb, config.carrier_mode)
-        rows.append(np.concatenate([emb, carrier[None, :]], axis=0))
-    rows.append(weights.tok_emb[np.asarray(question_ids)])
-    embeddings = np.concatenate(rows, axis=0)
-
-    layout = SegmentLayout(
-        system=len(system_tokens),
-        frame_sizes=(n,) * len(frames),
-        text=len(question_ids),
+    embeds, positions, spec = build_dense_layout(
+        weights.tok_emb[np.asarray(system_tokens, dtype=np.int64)],
+        np.asarray([f.embeddings for f in frames], dtype=np.float32).reshape(1, len(frames), n, d),
+        weights.tok_emb[np.asarray(question_ids)][None],
+        config.carrier_mode,
+        config.carrier_kv_mode,
     )
-    spec = build_semantic_mask(layout)
-    allow = spec.allow
-    if replay is not None:
+    layout, allow = spec.layout, spec.allow
+    if replay is not None:  # an evicted carrier is hidden from later frames and the question
         allow = allow.copy()
         ordinal = {f.frame_index: t for t, f in enumerate(frames)}
         frame_of = np.array(layout.frame_of())
-        text_rows = np.arange(layout.text_start, layout.total)
+        frame_of[layout.text_start :] = len(frames)  # the question comes after every frame
         for evicted, evict_ord in _evict_ordinals(replay, frames, ordinal).items():
-            col = layout.carrier_pos(ordinal[evicted])
-            if evict_ord <= len(frames) - 1:
-                late = frame_of >= evict_ord
-                allow[late, col] = False
-            allow[text_rows, col] = False
+            allow[frame_of >= evict_ord, layout.carrier_pos(ordinal[evicted])] = False
 
     # a fresh cache holds nothing, so the full mask is exactly the new block
     logits = forward_step(
         weights,
         KvCache(config),
-        embeddings,
-        np.arange(layout.total, dtype=np.int64),
+        embeds[0],
+        positions,
         allow,
         new_tags=list(spec.tags),
         capture=capture,

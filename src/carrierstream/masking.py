@@ -9,7 +9,9 @@ the whole system:
 * `build_semantic_mask` produces the full-sequence mask over a layout
   [system][frame tokens, carrier] x T [text]. Later positions may see
   carriers but never the raw frame tokens of earlier frames, which is
-  what makes prefill-then-discard sound.
+  what makes prefill-then-discard sound. `build_dense_layout` lays a
+  batch of streams out in it, with the positions streaming assigns; the
+  trainer and the dense oracle both run what it builds.
 * `build_streaming_mask` produces the within-segment block for a new
   segment (a frame plus its carrier, or text) appended to a live cache.
   Each of its rows equals the full semantic mask's row restricted to the
@@ -22,10 +24,10 @@ safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from .carrier import build_carrier_embedding
 from .errors import LayoutError
 
 # the tags whose K/V a cache keeps; raw frame rows are used once and dropped
@@ -87,33 +89,6 @@ class SegmentLayout:
         out.extend([-1] * self.text)
         return out
 
-    @classmethod
-    def from_spans(
-        cls,
-        system: tuple[int, int],
-        frames: Sequence[tuple[tuple[int, int], int]],
-        text: tuple[int, int],
-    ) -> "SegmentLayout":
-        """Build from explicit spans, validating order and disjointness.
-
-        `frames` is a sequence of ((frame_start, frame_stop), carrier_pos).
-        """
-        cursor = 0
-        if system != (cursor, cursor + (system[1] - system[0])) or system[0] != 0:
-            raise LayoutError(f"system span must start at 0, got {system}")
-        cursor = system[1]
-        sizes = []
-        for (fstart, fstop), cpos in frames:
-            if fstart != cursor or fstop < fstart:
-                raise LayoutError(f"frame span ({fstart},{fstop}) overlaps or leaves a gap at {cursor}")
-            if cpos != fstop:
-                raise LayoutError(f"carrier at {cpos} must directly follow its frame span ending at {fstop}")
-            sizes.append(fstop - fstart)
-            cursor = cpos + 1
-        if text[0] != cursor or text[1] < text[0]:
-            raise LayoutError(f"text span {text} overlaps or leaves a gap at {cursor}")
-        return cls(system=system[1] - system[0], frame_sizes=tuple(sizes), text=text[1] - text[0])
-
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -129,14 +104,6 @@ class MaskSpec:
     @property
     def n_queries(self) -> int:
         return self.allow.shape[0]
-
-    def validate(self) -> None:
-        """Check causality and non-degeneracy; raises LayoutError."""
-        if not self.allow.any(axis=1).all():
-            raise LayoutError("mask has a query row with no allowed key")
-        for i in range(self.allow.shape[0]):
-            if self.allow[i, i + 1 :].any():
-                raise LayoutError(f"query {i} attends a future key")
 
 
 def build_semantic_mask(layout: SegmentLayout) -> MaskSpec:
@@ -178,6 +145,35 @@ def build_semantic_mask(layout: SegmentLayout) -> MaskSpec:
         allow[i, tstart : i + 1] = True
 
     return MaskSpec(allow=allow, layout=layout, tags=tuple(layout.tags()))
+
+
+def build_dense_layout(
+    system: np.ndarray, frames: np.ndarray, text: np.ndarray, carrier_mode: str, kv_mode: str
+) -> tuple[np.ndarray, np.ndarray, MaskSpec]:
+    """Lay a batch of streams out as the dense sequences streaming mirrors.
+
+    `system` is (s, d) and shared, `frames` (b, T, N, d), `text` (b, L, d).
+    Returns the (b, S, d) embeddings, the (S,) positions the engine
+    assigns, and the semantic mask with its layout and tags.
+    `kv_mode="inherited"` gives [system][frame rows, carrier] x T [text].
+    With "embedding_only" the raw rows are never forwarded, so every frame
+    span is empty, but its N positions stay reserved: carrier t sits at
+    s + t(N+1) + N, as it does when streamed (and in stage-1 training).
+    """
+    b, t, n, d = frames.shape
+    s = system.shape[0]
+    shown = n if kv_mode == "inherited" else 0
+    layout = SegmentLayout(system=s, frame_sizes=(shown,) * t, text=text.shape[1])
+    embeds = np.empty((b, layout.total, d), dtype=np.result_type(system, frames, text))
+    embeds[:, :s] = system
+    blocks = embeds[:, s : layout.text_start].reshape(b, t, shown + 1, d)  # a view into embeds
+    blocks[:, :, :shown] = frames[:, :, :shown]
+    blocks[:, :, shown] = build_carrier_embedding(frames, carrier_mode)
+    embeds[:, layout.text_start :] = text
+    positions = np.arange(layout.total, dtype=np.int64)
+    if shown == 0:  # a carrier follows its own and each earlier frame's N reserved rows
+        positions[s:] += n * np.minimum(np.arange(1, layout.total - s + 1), t)
+    return embeds, positions, build_semantic_mask(layout)
 
 
 def build_streaming_mask(kind: str, count: int) -> MaskSpec:

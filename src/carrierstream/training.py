@@ -26,11 +26,11 @@ from typing import ClassVar
 import numpy as np
 
 from .autodiff import TrainBatch, batch_loss, batch_loss_and_grads
-from .carrier import FrameTokens, build_carrier_embedding
+from .carrier import FrameTokens
 from .config import ModelConfig
 from .engine import StreamSession
 from .errors import ConfigError, SelectionError
-from .masking import SegmentLayout, build_semantic_mask
+from .masking import build_dense_layout
 from .model import Weights, get_param, iter_params
 
 
@@ -46,9 +46,6 @@ class TaskSpec:
 
     # token id layout: [0, alphabet) symbols, then one index token per
     # frame slot, then qmark, two system tokens, and a reserved eos
-    def sym_token(self, s: int) -> int:
-        return s
-
     def idx_token(self, k: int) -> int:
         return self.alphabet + k
 
@@ -59,10 +56,6 @@ class TaskSpec:
     @property
     def system_ids(self) -> tuple[int, int]:
         return (self.qmark_id + 1, self.qmark_id + 2)
-
-    @property
-    def eos_id(self) -> int:
-        return self.qmark_id + 3
 
     @property
     def required_vocab(self) -> int:
@@ -155,94 +148,57 @@ def build_batch(
     layout with raw frame tokens under the semantic mask.
     """
     config = weights.config
+    if stage not in (1, 2):
+        raise SelectionError(f"stage must be 1 or 2, got {stage}")
     b = len(plans)
-    f, n, d = task.frames_per_stream, config.tokens_per_frame, config.d_model
+    f, n = task.frames_per_stream, config.tokens_per_frame
     sys_ids = np.array(task.system_ids)
-    s_sys = len(sys_ids)
     qlen = task.question_len()
-    text_len = task.text_len()
 
     symbols = np.stack([p.symbols for p in plans])  # (b, F, N)
     noise = np.stack([p.noise for p in plans])  # (b, F, N, d)
-    frames = stub[symbols] + noise * task.noise_scale  # (b, F, N, d)
-    carriers = build_carrier_embedding(frames, config.carrier_mode)  # (b, F, d)
-
     qf = np.stack([p.question_frames for p in plans])  # (b, Q)
     answers = symbols[np.arange(b)[:, None], qf, task.answer_row]  # (b, Q)
-    text_ids = np.zeros((b, text_len), dtype=np.int64)
-    prefix = np.array(task.prefix())
-    step = qlen + 1
-    for j in range(task.questions_per_stream):
-        text_ids[:, j * step : j * step + len(prefix)] = prefix
-        text_ids[:, j * step + qlen - 1] = task.alphabet + qf[:, j]
-        text_ids[:, j * step + qlen] = answers[:, j]
+    # each question is its prefix and its frame-index token, then the answer
+    prefixes = np.broadcast_to(task.prefix(), qf.shape + (qlen - 1,))
+    text_ids = np.concatenate([prefixes, task.idx_token(qf)[..., None], answers[..., None]], axis=2)
+    text_ids = text_ids.reshape(b, -1)
 
-    if stage == 2:
-        layout = SegmentLayout(system=s_sys, frame_sizes=(n,) * f, text=text_len)
-        positions = np.arange(layout.total, dtype=np.int64)
-    elif stage == 1:
-        layout = SegmentLayout(system=s_sys, frame_sizes=(0,) * f, text=text_len)
-        carrier_pos = s_sys + np.arange(f) * (n + 1) + n
-        text_start_pos = s_sys + f * (n + 1)
-        positions = np.concatenate(
-            [
-                np.arange(s_sys),
-                carrier_pos,
-                text_start_pos + np.arange(text_len),
-            ]
-        ).astype(np.int64)
-    else:
-        raise SelectionError(f"stage must be 1 or 2, got {stage}")
+    # stage 1 is the carriers-only layout of the embedding-only variant
+    embeds, positions, spec = build_dense_layout(
+        weights.tok_emb[sys_ids],
+        stub[symbols] + noise * task.noise_scale,
+        weights.tok_emb[text_ids],
+        config.carrier_mode,
+        "inherited" if stage == 2 else "embedding_only",
+    )
+    layout = spec.layout
+    tok_map = np.full(embeds.shape[:2], -1, dtype=np.int64)
+    tok_map[:, : len(sys_ids)] = sys_ids
+    tok_map[:, layout.text_start :] = text_ids
 
-    s_total = layout.total
-    embeds = np.zeros((b, s_total, d), dtype=np.float64)
-    tok_map = np.full((b, s_total), -1, dtype=np.int64)
-    sc_b: list[np.ndarray] = []
-    sc_s: list[np.ndarray] = []
-    sc_sym: list[np.ndarray] = []
-    sc_coeff: list[np.ndarray] = []
+    # (batch_idx, seq_idx, symbol, coeff) links, frame by frame
+    links: list[tuple[np.ndarray, ...]] = []
     b_idx = np.repeat(np.arange(b), n)
-
-    embeds[:, :s_sys] = weights.tok_emb[sys_ids]
-    tok_map[:, :s_sys] = sys_ids
     for t in range(f):
-        fstart, fstop = layout.frame_span(t)
-        cpos = layout.carrier_pos(t)
-        if fstop > fstart:
-            embeds[:, fstart:fstop] = frames[:, t]
-            sc_b.append(b_idx)
-            sc_s.append(np.tile(np.arange(fstart, fstop), b))
-            sc_sym.append(symbols[:, t].reshape(-1))
-            sc_coeff.append(np.ones(b * n))
-        embeds[:, cpos] = carriers[:, t]
+        fstart, cpos = layout.frame_span(t)
+        row_symbols = symbols[:, t].reshape(-1)
+        if cpos > fstart:
+            links.append((b_idx, np.tile(np.arange(fstart, cpos), b), row_symbols, np.ones(b * n)))
         if config.carrier_mode == "mean":
-            sc_b.append(b_idx)
-            sc_s.append(np.full(b * n, cpos))
-            sc_sym.append(symbols[:, t].reshape(-1))
-            sc_coeff.append(np.full(b * n, 1.0 / n))
+            links.append((b_idx, np.full(b * n, cpos), row_symbols, np.full(b * n, 1.0 / n)))
         else:  # last_token carrier is row N-1 verbatim
-            sc_b.append(np.arange(b))
-            sc_s.append(np.full(b, cpos))
-            sc_sym.append(symbols[:, t, -1])
-            sc_coeff.append(np.ones(b))
-    tstart = layout.text_start
-    embeds[:, tstart:] = weights.tok_emb[text_ids]
-    tok_map[:, tstart:] = text_ids
+            links.append((np.arange(b), np.full(b, cpos), symbols[:, t, -1], np.ones(b)))
 
-    loss_pos = tstart + np.arange(task.questions_per_stream) * step + (qlen - 1)
+    loss_pos = layout.text_start + np.arange(task.questions_per_stream) * (qlen + 1) + (qlen - 1)
     return TrainBatch(
         embeds=embeds,
         positions=positions,
-        mask=build_semantic_mask(layout).allow,
+        mask=spec.allow,
         loss_pos=np.broadcast_to(loss_pos, (b, task.questions_per_stream)).copy(),
         targets=answers,
         tok_map=tok_map,
-        stub_scatter=(
-            np.concatenate(sc_b),
-            np.concatenate(sc_s),
-            np.concatenate(sc_sym),
-            np.concatenate(sc_coeff),
-        ),
+        stub_scatter=tuple(np.concatenate(column) for column in zip(*links)),
     )
 
 

@@ -42,13 +42,27 @@ def test_streaming_matches_full_oracle(tiny_config, tiny_weights, tiny_frames):
     assert np.abs(oracle.logits[-1] - out.first_logits).max() <= 1e-4
 
 
-def test_streaming_matches_oracle_across_seeds(tiny_config):
+# (carrier_kv_mode, memory_enabled): every variant the dense oracle covers
+VARIANTS = pytest.mark.parametrize(
+    "kv_mode,memory",
+    [("inherited", True), ("inherited", False), ("embedding_only", True), ("embedding_only", False)],
+    ids=["inherited-memory", "inherited-no_memory", "embedding_only-memory", "embedding_only-no_memory"],
+)
+
+
+def variant(config, kv_mode, memory, **overrides):
+    return ModelConfig(
+        **{**config.to_dict(), "carrier_kv_mode": kv_mode, "memory_enabled": memory, **overrides}
+    )
+
+
+@VARIANTS
+def test_streaming_matches_oracle_across_seeds(tiny_config, kv_mode, memory):
+    config = variant(tiny_config, kv_mode, memory)
     for seed in range(3):
-        w = init_model(tiny_config, seed=seed)
-        frames = make_random_frames(
-            4, tiny_config.tokens_per_frame, tiny_config.d_model, seed=seed + 10
-        )
-        session = stream_all(tiny_config, w, frames)
+        w = init_model(config, seed=seed)
+        frames = make_random_frames(4, config.tokens_per_frame, config.d_model, seed=seed + 10)
+        session = stream_all(config, w, frames)
         out = session.ask([7], max_new=1, keep_logits=True)
         oracle = oracle_full_forward(w, SYSTEM, frames, [7])
         assert np.abs(oracle.logits[-1] - out.first_logits).max() <= 1e-4, seed
@@ -135,21 +149,37 @@ def test_evicted_frame_cannot_influence_later_logits(tiny_weights):
         assert base.tokens == other.tokens
 
 
-def test_oracle_honors_replay(tiny_weights):
-    config = ModelConfig(**{**tiny_weights.config.to_dict(), "memory_capacity": 4})
+@VARIANTS
+def test_oracle_honors_replay(tiny_config, kv_mode, memory):
+    # with memory disabled the first ask prefills frames 0, 2, 3 and 5 of 6,
+    # and a replay may evict only before the ask
+    config = variant(tiny_config, kv_mode, memory, memory_capacity=4)
+    weights = init_model(config, seed=0)  # the oracle reads the variant from its weights
     frames = make_random_frames(6, config.tokens_per_frame, config.d_model, seed=7)
-    replay = EvictionReplay(before_frame={3: (1,)}, before_ask=(4,))
-    session = stream_all(config, tiny_weights, frames, replay=replay)
+    if memory:
+        replay = EvictionReplay(before_frame={3: (1,)}, before_ask=(4,))
+    else:
+        replay = EvictionReplay(before_ask=(2,))
+    session = stream_all(config, weights, frames, replay=replay)
     out = session.ask([8], max_new=1, keep_logits=True)
-    oracle = oracle_full_forward(tiny_weights, SYSTEM, frames, [8], replay=replay)
+    oracle = oracle_full_forward(weights, SYSTEM, frames, [8], replay=replay)
     assert np.abs(oracle.logits[-1] - out.first_logits).max() <= 1e-4
 
 
+def test_memory_disabled_replay_before_a_frame_is_rejected(tiny_config):
+    # a memory-disabled session has no bank until its first question, so a
+    # before_frame entry could never be honoured
+    config = variant(tiny_config, "inherited", False, memory_capacity=4)
+    weights = init_model(config, seed=0)
+    frames = make_random_frames(6, config.tokens_per_frame, config.d_model, seed=7)
+    replay = EvictionReplay(before_frame={3: (1,)})
+    with pytest.raises(ConfigError, match="before_frame"):
+        StreamSession(config, weights, system_tokens=SYSTEM, replay=replay)
+    with pytest.raises(ConfigError, match="before_frame"):
+        oracle_full_forward(weights, SYSTEM, frames, [8], replay=replay)
+
+
 def test_oracle_rejects_unsupported_modes(tiny_config, tiny_weights, tiny_frames):
-    emb_only = ModelConfig(**{**tiny_config.to_dict(), "carrier_kv_mode": "embedding_only"})
-    w2 = init_model(emb_only, seed=0)
-    with pytest.raises(OracleError):
-        oracle_full_forward(w2, SYSTEM, tiny_frames, [5])
     small = ModelConfig(**{**tiny_config.to_dict(), "memory_capacity": 2})
     w3 = init_model(small, seed=0)
     with pytest.raises(OracleError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from carrierstream import (
     LayoutError,
     SegmentLayout,
+    build_dense_layout,
     build_semantic_mask,
     build_streaming_mask,
     remove_carrier_visibility,
@@ -24,25 +25,14 @@ def test_layout_arithmetic():
         ["system"] * 2 + ["frame"] * 3 + ["carrier"] + ["frame"] * 3 + ["carrier"] + ["text"] * 2
     )
     assert lay.frame_of() == [-1, -1, 0, 0, 0, 0, 1, 1, 1, 1, -1, -1]
+    with pytest.raises(LayoutError):
+        SegmentLayout(system=-1)
 
 
 def test_layout_empty_frames_is_carriers_only():
     lay = SegmentLayout(system=1, frame_sizes=(0, 0, 0), text=2)
     assert lay.carrier_positions == [1, 2, 3]
     assert lay.tags() == ["system", "carrier", "carrier", "carrier", "text", "text"]
-
-
-def test_from_spans_roundtrip_and_errors():
-    lay = SegmentLayout.from_spans(
-        system=(0, 2), frames=[((2, 5), 5), ((6, 9), 9)], text=(10, 12)
-    )
-    assert lay == SegmentLayout(system=2, frame_sizes=(3, 3), text=2)
-    with pytest.raises(LayoutError):
-        SegmentLayout.from_spans(system=(0, 2), frames=[((1, 4), 4)], text=(5, 6))
-    with pytest.raises(LayoutError):  # carrier not adjacent to its frame
-        SegmentLayout.from_spans(system=(0, 1), frames=[((1, 3), 4)], text=(5, 6))
-    with pytest.raises(LayoutError):
-        SegmentLayout(system=-1)
 
 
 def test_semantic_mask_hand_case():
@@ -60,7 +50,8 @@ def test_semantic_mask_hand_case():
     expect[7, [0, 3, 6, 7]] = True  # text sees every carrier, no raw rows
     expect[8, [0, 3, 6, 7, 8]] = True
     np.testing.assert_array_equal(mask.allow, expect)
-    mask.validate()
+    assert mask.allow.any(axis=1).all()  # no query row without a key
+    assert not np.triu(mask.allow, k=1).any()  # causal
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,7 +78,7 @@ def test_semantic_mask_invariants(system, frame_sizes, text):
         assert allow[q, lay.carrier_positions].all()
         assert allow[q, : lay.system].all()
     if system > 0:
-        mask.validate()
+        assert allow.any(axis=1).all()
 
 
 def test_streaming_mask_matches_semantic_rows():
@@ -134,3 +125,22 @@ def test_remove_carrier_visibility():
     # everything else untouched
     rest = np.delete(np.arange(lay.total), cpos)
     np.testing.assert_array_equal(hidden.allow[:, rest], mask.allow[:, rest])
+
+
+@pytest.mark.parametrize("carrier_mode", ["mean", "last_token"])
+def test_embedding_only_layout_is_the_inherited_one_without_frame_rows(carrier_mode):
+    # the carriers-only layout keeps every non-frame row of the full one,
+    # with the same embedding, position and mask entries
+    rng = np.random.default_rng(0)
+    system = rng.standard_normal((2, 4))
+    frames = rng.standard_normal((3, 5, 3, 4))  # 3 streams of 5 frames, N=3, d=4
+    text = rng.standard_normal((3, 2, 4))
+    full_emb, full_pos, full = build_dense_layout(system, frames, text, carrier_mode, "inherited")
+    emb, pos, spec = build_dense_layout(system, frames, text, carrier_mode, "embedding_only")
+    kept = np.array(full.tags) != "frame"
+    np.testing.assert_array_equal(full_pos, np.arange(2 + 5 * 4 + 2))
+    np.testing.assert_array_equal(pos, full_pos[kept])
+    np.testing.assert_array_equal(emb, full_emb[:, kept])
+    np.testing.assert_array_equal(spec.allow, full.allow[kept][:, kept])
+    assert spec.tags == tuple(np.array(full.tags)[kept])
+    assert spec.layout == SegmentLayout(system=2, frame_sizes=(0,) * 5, text=2)

@@ -51,7 +51,6 @@ def test_task_spec_token_layout():
     t = TaskSpec(frames_per_stream=4, alphabet=16)
     assert t.idx_token(0) == 16 and t.idx_token(3) == 19
     assert t.qmark_id == 20
-    assert t.eos_id == 23
     assert t.required_vocab == 24
     assert t.question_len() == len(t.prefix()) + 1
 
