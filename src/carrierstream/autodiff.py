@@ -6,8 +6,11 @@ math of its own: it calls the engine's kernels (`embed_positions`,
 `layer_norm`, `_project`, `attention_core`, `gelu`) over a batch axis,
 so on float64 weights its logits equal `model.forward_step`'s bit for
 bit. The tape keeps only layer inputs and activations; the backward
-recomputes the layer-norm statistics and adapter products it needs and
-visits every weight, including adapter factors.
+recomputes the layer-norm statistics and adapter products it needs. It
+always carries the input gradient down through every layer, and it
+computes a weight gradient only for the parameter paths the caller
+wants: a training stage asks for its own parameter group, the gradient
+check for every path.
 
 Masked attention entries have probability exactly 0, so their score
 gradients are exactly 0 as well; the leakage guarantees downstream rest
@@ -17,6 +20,7 @@ on that exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -51,42 +55,59 @@ class TrainBatch:
     stub_scatter: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
+Wanted = Callable[[str], bool]
+
+
 def _ln_backward(
-    dy: np.ndarray, x: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of `layer_norm(x, g, b)`, recomputing its statistics from x."""
-    # x_hat is the only (b, s, d) temporary: the einsum variance and the
-    # in-place scale allocate no other, and each fresh one costs page faults
+    dy: np.ndarray, x: np.ndarray, g: np.ndarray, grads: dict, prefix: str, want: Wanted
+) -> np.ndarray:
+    """Gradients of `layer_norm(x, g, b)`, recomputing its statistics from x.
+
+    Stores the gain and bias gradients at `prefix + "g"` and `prefix + "b"`
+    when wanted and returns dx, computed in place in `dy`.
+    """
+    # x_hat and the products with it are the only fresh (b, s, d) arrays:
+    # the einsum variance and the in-place updates allocate no other, and
+    # each fresh one costs page faults
     x_hat = x - x.mean(axis=-1, keepdims=True)
     var = np.einsum("...i,...i->...", x_hat, x_hat)[..., None] / x.shape[-1]
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     x_hat *= inv_std
-    d_g = (dy * x_hat).reshape(-1, dy.shape[-1]).sum(axis=0)
-    d_b = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxh = dy * g
-    dx = inv_std * (
-        dxh
-        - dxh.mean(axis=-1, keepdims=True)
-        - x_hat * (dxh * x_hat).mean(axis=-1, keepdims=True)
-    )
-    return dx, d_g, d_b
+    d = dy.shape[-1]
+    if want(prefix + "g"):
+        grads[prefix + "g"] = (dy * x_hat).reshape(-1, d).sum(axis=0)
+    if want(prefix + "b"):
+        grads[prefix + "b"] = dy.reshape(-1, d).sum(axis=0)
+    # dx = inv_std * (dxh - mean(dxh) - x_hat * mean(dxh * x_hat)), dxh = dy * g
+    dxh = dy
+    dxh *= g
+    x_hat *= (dxh * x_hat).mean(axis=-1, keepdims=True)
+    dxh -= dxh.mean(axis=-1, keepdims=True)
+    dxh -= x_hat
+    dxh *= inv_std
+    return dxh
 
 
 def _proj_backward(
-    dy: np.ndarray, x: np.ndarray, lw: LayerWeights, name: str, grads: dict, prefix: str
+    dy: np.ndarray, x: np.ndarray, lw: LayerWeights, name: str, grads: dict, prefix: str,
+    want: Wanted,
 ) -> np.ndarray:
     """Gradients of `_project(x, lw, name)`; x is the saved projection input."""
     d = x.shape[-1]
     k = dy.shape[-1]
-    grads[prefix + name] = x.reshape(-1, d).T @ dy.reshape(-1, k)
+    if want(prefix + name):
+        grads[prefix + name] = x.reshape(-1, d).T @ dy.reshape(-1, k)
     dx = dy @ getattr(lw, name).T
     if lw.adapters is not None and name in lw.adapters:
         a, b = lw.adapters[name]
         r = a.shape[1]
-        grads[prefix + f"adapters.{name}.b"] = (x @ a).reshape(-1, r).T @ dy.reshape(-1, k)
+        path = prefix + f"adapters.{name}."
+        if want(path + "b"):
+            grads[path + "b"] = (x @ a).reshape(-1, r).T @ dy.reshape(-1, k)
         dxa = dy @ b.T
-        grads[prefix + f"adapters.{name}.a"] = x.reshape(-1, d).T @ dxa.reshape(-1, r)
-        dx = dx + dxa @ a.T
+        if want(path + "a"):
+            grads[path + "a"] = x.reshape(-1, d).T @ dxa.reshape(-1, r)
+        dx += dxa @ a.T
     return dx
 
 
@@ -118,7 +139,8 @@ def forward_train(
         vh = split_heads(_project(a_in, lw, "wv"))
         oh, probs = attention_core(qh, kh, vh, batch.mask)
         o = oh.transpose(0, 2, 1, 3).reshape(b, s, d)
-        x1 = x + _project(o, lw, "wo")
+        x1 = _project(o, lw, "wo")
+        x1 += x
         f_in = layer_norm(x1, lw.ln2_g, lw.ln2_b)
         h_pre = f_in @ lw.w1
         h = gelu(h_pre)
@@ -127,7 +149,8 @@ def forward_train(
                 dict(x_in=x, a_in=a_in, qh=qh, kh=kh, vh=vh, probs=probs, o=o,
                      x1=x1, f_in=f_in, h_pre=h_pre, h=h)
             )
-        x = x1 + h @ lw.w2
+        x = h @ lw.w2
+        x += x1
 
     logits = x @ weights.unembed
     if want_tape:
@@ -136,24 +159,37 @@ def forward_train(
 
 
 def backward(
-    weights: Weights, batch: TrainBatch, tape: list[dict], dlogits: np.ndarray
+    weights: Weights,
+    batch: TrainBatch,
+    tape: list[dict],
+    dlogits: np.ndarray,
+    *,
+    wanted: Collection[str] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Reverse pass. Returns (grads by parameter path, d input-embeddings).
 
-    Grads cover every layer weight, adapters, pos_emb, and unembed; the
-    token-table gradient is the caller's scatter of the returned
-    d-embeddings (the rows are the table rows).
+    `wanted` names the parameter paths to compute gradients for; the
+    default is every layer weight, adapter factor, pos_emb and unembed,
+    and paths backward does not own (tok_emb, stub) are ignored. The
+    input gradient always flows through every layer. The token-table
+    gradient is the caller's scatter of the returned d-embeddings (the
+    rows are the table rows).
     """
     config = weights.config
     b, s, d = batch.embeds.shape
     heads, dk = config.heads, config.head_dim
     scale = 1.0 / np.sqrt(dk)
     grads: dict[str, np.ndarray] = {}
+    want: Wanted = (lambda path: True) if wanted is None else frozenset(wanted).__contains__
 
-    x_final = tape[-1]["x_final"]
-    grads["unembed"] = x_final.reshape(-1, d).T @ dlogits.reshape(-1, config.vocab_size)
+    if want("unembed"):
+        x_final = tape[-1]["x_final"]
+        grads["unembed"] = x_final.reshape(-1, d).T @ dlogits.reshape(-1, config.vocab_size)
     dx = dlogits @ weights.unembed.T
 
+    # every (b, s, d) and (b, h, s, s) update below is in place: the same
+    # operations in the same order as the out-of-place formulas, so the
+    # bits match, without a fresh array per term
     for layer in range(config.layers - 1, -1, -1):
         lw = weights.layers[layer]
         rec = tape[layer]
@@ -161,39 +197,41 @@ def backward(
 
         # feed-forward block: x_out = x1 + gelu(f_in @ w1) @ w2
         dh = dx @ lw.w2.T
-        grads[prefix + "w2"] = rec["h"].reshape(-1, config.ff_dim).T @ dx.reshape(-1, d)
-        dh_pre = dh * gelu_grad(rec["h_pre"])
-        grads[prefix + "w1"] = rec["f_in"].reshape(-1, d).T @ dh_pre.reshape(-1, config.ff_dim)
-        d_f_in = dh_pre @ lw.w1.T
-        d_x1_ln, d_g2, d_b2 = _ln_backward(d_f_in, rec["x1"], lw.ln2_g)
-        grads[prefix + "ln2_g"] = d_g2
-        grads[prefix + "ln2_b"] = d_b2
-        dx1 = dx + d_x1_ln
+        if want(prefix + "w2"):
+            grads[prefix + "w2"] = rec["h"].reshape(-1, config.ff_dim).T @ dx.reshape(-1, d)
+        dh *= gelu_grad(rec["h_pre"])
+        if want(prefix + "w1"):
+            grads[prefix + "w1"] = rec["f_in"].reshape(-1, d).T @ dh.reshape(-1, config.ff_dim)
+        dx1 = _ln_backward(dh @ lw.w1.T, rec["x1"], lw.ln2_g, grads, prefix + "ln2_", want)
+        dx1 += dx
 
         # attention block: x1 = x_in + proj_o(attn(ln1(x_in)))
-        do = _proj_backward(dx1, rec["o"], lw, "wo", grads, prefix)
+        do = _proj_backward(dx1, rec["o"], lw, "wo", grads, prefix, want)
         doh = do.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
         probs, qh, kh, vh = rec["probs"], rec["qh"], rec["kh"], rec["vh"]
-        dprobs = doh @ vh.transpose(0, 1, 3, 2)
         dvh = probs.transpose(0, 1, 3, 2) @ doh
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dqh = dscores @ kh * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+        # softmax backward: dscores = probs * (dprobs - sum(dprobs * probs))
+        dscores = doh @ vh.transpose(0, 1, 3, 2)
+        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+        dscores *= probs
+        dqh = dscores @ kh
+        dqh *= scale
+        dkh = dscores.transpose(0, 1, 3, 2) @ qh
+        dkh *= scale
         dq = dqh.transpose(0, 2, 1, 3).reshape(b, s, d)
         dk_ = dkh.transpose(0, 2, 1, 3).reshape(b, s, d)
         dv = dvh.transpose(0, 2, 1, 3).reshape(b, s, d)
         a_in = rec["a_in"]
-        d_a_in = _proj_backward(dq, a_in, lw, "wq", grads, prefix)
-        d_a_in += _proj_backward(dk_, a_in, lw, "wk", grads, prefix)
-        d_a_in += _proj_backward(dv, a_in, lw, "wv", grads, prefix)
-        d_x_ln, d_g1, d_b1 = _ln_backward(d_a_in, rec["x_in"], lw.ln1_g)
-        grads[prefix + "ln1_g"] = d_g1
-        grads[prefix + "ln1_b"] = d_b1
-        dx = dx1 + d_x_ln
+        d_a_in = _proj_backward(dq, a_in, lw, "wq", grads, prefix, want)
+        d_a_in += _proj_backward(dk_, a_in, lw, "wk", grads, prefix, want)
+        d_a_in += _proj_backward(dv, a_in, lw, "wv", grads, prefix, want)
+        dx = _ln_backward(d_a_in, rec["x_in"], lw.ln1_g, grads, prefix + "ln1_", want)
+        dx += dx1
 
-    d_pos = np.zeros_like(weights.pos_emb)
-    np.add.at(d_pos, batch.positions, dx.sum(axis=0))
-    grads["pos_emb"] = d_pos
+    if want("pos_emb"):
+        d_pos = np.zeros_like(weights.pos_emb)
+        np.add.at(d_pos, batch.positions, dx.sum(axis=0))
+        grads["pos_emb"] = d_pos
     return grads, dx
 
 
@@ -227,10 +265,10 @@ def batch_loss(weights: Weights, batch: TrainBatch) -> float:
 
 
 def batch_loss_and_grads(
-    weights: Weights, batch: TrainBatch
+    weights: Weights, batch: TrainBatch, *, wanted: Collection[str] | None = None
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray, float]:
-    """Returns (loss, grads, d_embeds, accuracy)."""
+    """Returns (loss, grads, d_embeds, accuracy); `wanted` as in `backward`."""
     logits, tape, _ = forward_train(weights, batch, want_tape=True)
     loss, dlogits, acc = cross_entropy(logits, batch)
-    grads, d_embeds = backward(weights, batch, tape, dlogits)
+    grads, d_embeds = backward(weights, batch, tape, dlogits, wanted=wanted)
     return loss, grads, d_embeds, acc

@@ -339,7 +339,7 @@ def _project(x: np.ndarray, lw: LayerWeights, name: str) -> np.ndarray:
     y = x @ getattr(lw, name)
     if lw.adapters is not None and name in lw.adapters:
         a, b = lw.adapters[name]
-        y = y + (x @ a) @ b
+        y += (x @ a) @ b
     return y
 
 
@@ -354,7 +354,8 @@ def attention_core(
     masked key's probability is exactly 0. Returns (out, probs (..., h, m, n)).
     """
     dk, n = qh.shape[-1], kh.shape[-2]
-    scores = qh @ np.swapaxes(kh, -1, -2) / np.sqrt(dk).astype(qh.dtype)
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores /= np.sqrt(dk).astype(qh.dtype)
     scores[..., n - mask.shape[-1] :][..., ~mask] = -np.inf
     probs = softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
     return probs @ vh, probs

@@ -26,7 +26,16 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     if np.isneginf(top).any():
         bad = int(np.flatnonzero(np.isneginf(top))[0])
         raise DegenerateInputError(f"row {bad} has no unmasked entry")
-    out = np.exp(m - top)
+    z = m - top
+    if z.dtype == np.float64:
+        # float64 exp takes a slow path on -inf (float32 has none), so
+        # the masked slots take exp(0) and are zeroed after: same bits
+        masked = z == -np.inf
+        np.putmask(z, masked, 0.0)
+        out = np.exp(z, out=z)
+        np.putmask(out, masked, 0.0)
+    else:
+        out = np.exp(z, out=z)
     out /= out.sum(axis=1, keepdims=True)
     return out
 
@@ -40,10 +49,12 @@ def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"layer_norm length mismatch: v[..., {v.shape[-1]}], gain {gain.shape}, bias {bias.shape}"
         )
-    mean = v.mean(axis=-1, keepdims=True)
-    centered = v - mean
+    centered = v - v.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + np.asarray(LN_EPS, dtype=v.dtype)) * gain + bias
+    centered /= np.sqrt(var + np.asarray(LN_EPS, dtype=v.dtype))
+    centered *= gain
+    centered += bias
+    return centered
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -64,20 +75,46 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # tanh-form GELU; the same constants are used by the gradient path so
-# analytic and finite-difference derivatives agree.
+# analytic and finite-difference derivatives agree. Both kernels evaluate
+# the textbook expressions (kept in tests/test_numerics.py) with the same
+# operations in the same order, in place: the bits are the same, and
+# each call allocates two or three arrays instead of a dozen.
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def _tanh_inner(x: np.ndarray) -> np.ndarray:
+    """A fresh array holding tanh(_GELU_C * (x + _GELU_A * x * x * x))."""
+    t = np.multiply(_GELU_A, x, out=np.empty_like(x))  # out= keeps a 0-d input an array
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU activation (tanh approximation)."""
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    return np.asarray(0.5, dtype=x.dtype) * x * (1.0 + np.tanh(inner))
+    """GELU activation (tanh approximation): 0.5 * x * (1 + tanh(inner))."""
+    y = _tanh_inner(x)
+    y += 1.0
+    y *= np.asarray(0.5, dtype=x.dtype) * x
+    return y
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of `gelu` at x."""
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    sech2 = 1.0 - t * t
-    return 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    """Derivative of `gelu` at x:
+    0.5 * (1 + t) + 0.5 * x * (1 - t * t) * _GELU_C * (1 + 3 * _GELU_A * x * x)."""
+    t = _tanh_inner(x)
+    scratch = np.multiply(t, t, out=np.empty_like(t))
+    np.subtract(1.0, scratch, out=scratch)
+    slope = 0.5 * x
+    slope *= scratch
+    slope *= _GELU_C
+    np.multiply(3.0 * _GELU_A, x, out=scratch)
+    scratch *= x
+    scratch += 1.0
+    slope *= scratch
+    t += 1.0
+    t *= 0.5
+    t += slope
+    return t

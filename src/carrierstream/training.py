@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Collection
 
 import numpy as np
 
@@ -249,19 +249,33 @@ class Optimizer:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """arr -= lr * mhat / (sqrt(vhat) + eps), with the moments updated first.
+
+        Evaluated in place in the same order as that formula, so the bits
+        match, with two scratch arrays per parameter.
+        """
         cfg = self.cfg
         self.t += 1
+        m_corr = 1 - cfg.beta1**self.t
+        v_corr = 1 - cfg.beta2**self.t
         for path, arr in params.items():
             g = grads[path]
             m = self.m.setdefault(path, np.zeros_like(arr))
             v = self.v.setdefault(path, np.zeros_like(arr))
             m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
+            step = (1 - cfg.beta1) * g
+            m += step
             v *= cfg.beta2
-            v += (1 - cfg.beta2) * g * g
-            mhat = m / (1 - cfg.beta1**self.t)
-            vhat = v / (1 - cfg.beta2**self.t)
-            arr -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            np.multiply(1 - cfg.beta2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, m_corr, out=step)
+            step *= cfg.lr
+            denom = v / v_corr
+            np.sqrt(denom, out=denom)
+            denom += cfg.eps
+            step /= denom
+            arr -= step
 
 
 def all_param_paths(weights: Weights) -> list[str]:
@@ -279,10 +293,19 @@ def trainable_paths(weights: Weights, stage: int) -> list[str]:
 
 
 def _assemble_grads(
-    weights: Weights, stub: np.ndarray, batch: TrainBatch, grads: dict, d_embeds: np.ndarray
+    weights: Weights,
+    stub: np.ndarray,
+    batch: TrainBatch,
+    grads: dict,
+    d_embeds: np.ndarray,
+    wanted: Collection[str] | None = None,
 ) -> dict[str, np.ndarray]:
-    grads["tok_emb"] = _scatter_rows(batch.tok_map, d_embeds, weights.config.vocab_size)
-    grads["stub"] = _scatter_stub(batch.stub_scatter, d_embeds, stub.shape[0])
+    """Add the tok_emb and stub scatters of `d_embeds` to `grads`, each
+    only if `wanted` names it (default: both)."""
+    if wanted is None or "tok_emb" in wanted:
+        grads["tok_emb"] = _scatter_rows(batch.tok_map, d_embeds, weights.config.vocab_size)
+    if wanted is None or "stub" in wanted:
+        grads["stub"] = _scatter_stub(batch.stub_scatter, d_embeds, stub.shape[0])
     return grads
 
 
@@ -302,8 +325,9 @@ def _run_training(
     for step in range(cfg.steps):
         plans = [make_plan(task, config, rng) for _ in range(cfg.batch_size)]
         batch = build_batch(w64, stub64, task, plans, cfg.stage)
-        loss, grads, d_embeds, acc = batch_loss_and_grads(w64, batch)
-        _assemble_grads(w64, stub64, batch, grads, d_embeds)
+        # the stage's parameter group is all the step computes gradients for
+        loss, grads, d_embeds, acc = batch_loss_and_grads(w64, batch, wanted=paths)
+        _assemble_grads(w64, stub64, batch, grads, d_embeds, wanted=paths)
         gnorm = math.sqrt(sum(float((grads[p] ** 2).sum()) for p in paths))
         opt.step(params, grads)
         done = step == cfg.steps - 1 or (cfg.target_loss is not None and loss < cfg.target_loss)

@@ -13,6 +13,7 @@ from carrierstream import (
     layer_norm,
     softmax_rows,
 )
+from carrierstream.model import attention_core
 
 
 def test_softmax_rows_hand_values():
@@ -118,3 +119,110 @@ def test_gelu_grad_matches_finite_difference(x):
     h = 1e-6
     fd = (gelu(np.array(x + h)) - gelu(np.array(x - h))) / (2 * h)
     assert gelu_grad(np.array(x)) == pytest.approx(fd, abs=1e-7)
+
+
+# The kernels evaluate these textbook expressions in place, with the same
+# operations in the same order; each reference is the out-of-place form,
+# and the kernel must equal it bit for bit.
+def reference_softmax_rows(m):
+    top = m.max(axis=1, keepdims=True)
+    out = np.exp(m - top)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def reference_attention_core(qh, kh, vh, mask):
+    dk, n = qh.shape[-1], kh.shape[-2]
+    scores = qh @ np.swapaxes(kh, -1, -2) / np.sqrt(dk).astype(qh.dtype)
+    scores[..., n - mask.shape[-1] :][..., ~mask] = -np.inf
+    probs = reference_softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
+    return probs @ vh, probs
+
+
+def reference_layer_norm(v, gain, bias):
+    mean = v.mean(axis=-1, keepdims=True)
+    centered = v - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / np.sqrt(var + np.asarray(1e-5, dtype=v.dtype)) * gain + bias
+
+
+def reference_gelu(x):
+    inner = 0.7978845608028654 * (x + 0.044715 * x * x * x)
+    return np.asarray(0.5, dtype=x.dtype) * x * (1.0 + np.tanh(inner))
+
+
+def reference_gelu_grad(x):
+    c, a = 0.7978845608028654, 0.044715
+    t = np.tanh(c * (x + a * x * x * x))
+    sech2 = 1.0 - t * t
+    return 0.5 * (1.0 + t) + 0.5 * x * sech2 * c * (1.0 + 3.0 * a * x * x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(1, 40),
+    st.integers(1, 70),
+    st.sampled_from([1.0, 30.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_softmax_rows_equals_reference_formula(dtype, rows, cols, spread, seed):
+    # random masks, fully masked tails, and scores spread far enough that
+    # exp underflows; masked slots must come out exactly 0
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((rows, cols)) * spread).astype(dtype)
+    masked = rng.random((rows, cols)) < rng.uniform(0.0, 0.95)
+    tail = rng.integers(1, cols + 1, size=rows)
+    masked |= np.arange(cols) >= tail[:, None]  # row r keeps at most its first tail[r] entries
+    masked[np.arange(rows), rng.integers(0, tail)] = False  # and at least one of them
+    m[masked] = -np.inf
+    out = softmax_rows(m)
+    assert out.dtype == dtype
+    assert np.array_equal(out, reference_softmax_rows(m))
+    assert np.all(out[masked] == 0.0)
+    bad = int(rng.integers(0, rows))
+    m[bad] = -np.inf
+    with pytest.raises(DegenerateInputError, match=f"row {bad} "):
+        softmax_rows(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.integers(0, 6),
+    st.sampled_from([1.0, 40.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_attention_core_equals_reference_formula(dtype, heads, m, cached, spread, seed):
+    rng = np.random.default_rng(seed)
+    dk, n = 4, cached + m
+    qh, kh, vh = ((rng.standard_normal((2, heads, rows, dk)) * spread).astype(dtype)
+                  for rows in (m, n, n))
+    mask = rng.random((m, m)) < 0.4
+    if cached == 0:
+        mask[np.arange(m), rng.integers(0, m, size=m)] = True
+    out, probs = attention_core(qh, kh, vh, mask)
+    ref_out, ref_probs = reference_attention_core(qh, kh, vh, mask)
+    assert np.array_equal(out, ref_out) and np.array_equal(probs, ref_probs)
+    assert np.all(probs[..., cached:][..., ~mask] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([(), (5,), (9, 32), (2, 6, 16)]),
+    st.sampled_from([0.1, 3.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_gelu_and_layer_norm_equal_reference_formulas(dtype, shape, spread, seed):
+    rng = np.random.default_rng(seed)
+    x = np.asarray(rng.standard_normal(shape) * spread, dtype=dtype)
+    with np.errstate(over="ignore"):  # float32 x**3 overflows at 1e3 spreads
+        assert np.array_equal(gelu(x), reference_gelu(x))
+        assert np.array_equal(gelu_grad(x), reference_gelu_grad(x), equal_nan=True)
+    if shape:
+        gain, bias = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+        out = layer_norm(x, gain, bias)
+        assert out.dtype == dtype and np.array_equal(out, reference_layer_norm(x, gain, bias))

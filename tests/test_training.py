@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from carrierstream import (
     Weights,
     all_param_paths,
     batch_loss_and_grads,
+    backward,
     build_batch,
     cross_entropy,
     evaluate_recall,
     forward_step,
     forward_train,
     frames_for_engine,
+    get_param,
     grad_check,
     init_model,
     init_stub,
@@ -140,6 +144,66 @@ def test_assembled_scatter_gradients_match_manual_loop():
     for i in range(len(b_idx)):
         st[sym[i]] += coeff[i] * d_embeds[b_idx[i], s_idx[i]]
     np.testing.assert_allclose(grads["stub"], st, atol=1e-12)
+
+
+CFG2 = ModelConfig(**{**CFG.to_dict(), "layers": 2})
+
+
+def _random_adapters(w: Weights, rng: np.random.Generator) -> None:
+    # zero b factors would zero the a-factor gradients
+    for lw in w.layers:
+        for name, (a, b) in lw.adapters.items():
+            lw.adapters[name] = (a, rng.normal(0.0, 0.4, size=b.shape))
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_backward_computes_exactly_the_wanted_gradients(stage):
+    w = init_model(CFG2, seed=0).astype(np.float64)
+    rng = np.random.default_rng(stage)
+    _random_adapters(w, rng)
+    stub = init_stub(TASK, CFG2, seed=0).astype(np.float64)
+    batch = build_batch(w, stub, TASK, [make_plan(TASK, CFG2, rng) for _ in range(3)], stage)
+    logits, tape, _ = forward_train(w, batch)
+    _, dlogits, _ = cross_entropy(logits, batch)
+    full, d_full = backward(w, batch, tape, dlogits)
+    _assemble_grads(w, stub, batch, full, d_full)
+    assert set(full) == set(all_param_paths(w))
+
+    wanted = trainable_paths(w, stage)
+    part, d_part = backward(w, batch, tape, dlogits, wanted=wanted)
+    _assemble_grads(w, stub, batch, part, d_part, wanted=wanted)
+    assert sorted(part) == sorted(wanted)
+    assert np.array_equal(d_part, d_full)
+    for path in wanted:
+        assert np.array_equal(part[path], full[path]), path
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stage_training_equals_a_full_gradient_loop(stage):
+    # the trainer computes only its stage's gradients; a loop that computes
+    # every gradient and steps the same parameters must give the same bits
+    w0 = init_model(CFG2, seed=6)
+    _random_adapters(w0, np.random.default_rng(6))
+    stub0 = init_stub(TASK, CFG2, seed=6)
+    cfg = TrainConfig(stage=stage, steps=2, batch_size=3, lr=1e-2, seed=8, log_every=1)
+    trained, stub, metrics = (train_stage1 if stage == 1 else train_stage2)(w0, TASK, cfg, stub0)
+
+    w64 = w0.astype(np.float64)
+    stub64 = stub0.astype(np.float64)
+    paths = trainable_paths(w64, stage)
+    params = {p: (stub64 if p == "stub" else get_param(w64, p)) for p in paths}
+    opt = Optimizer(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    for step in range(cfg.steps):
+        batch = build_batch(w64, stub64, TASK, [make_plan(TASK, CFG2, rng) for _ in range(3)], stage)
+        loss, grads, d_embeds, _ = batch_loss_and_grads(w64, batch)
+        _assemble_grads(w64, stub64, batch, grads, d_embeds)
+        gnorm = math.sqrt(sum(float((grads[p] ** 2).sum()) for p in paths))
+        opt.step(params, grads)
+        assert metrics[step]["loss"] == loss and metrics[step]["grad_norm"] == gnorm
+    for (path, got), (_, expect) in zip(iter_params(trained), iter_params(w64.astype(np.float32))):
+        assert np.array_equal(got, expect), path
+    assert np.array_equal(stub, stub64.astype(np.float32))
 
 
 def test_cross_entropy_hand_value():
