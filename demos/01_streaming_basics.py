@@ -51,7 +51,7 @@ print(f"prefill {out.prefill_us:.1f}us, {out.decode_us_per_token:.1f}us/token")
 
 # The streaming path should agree with a single full forward pass over
 # the same layout (system + frames + question) to float32 tolerance.
-oracle = oracle_full_forward(weights, SYSTEM, frames, question)
+oracle = oracle_full_forward(session.weights, SYSTEM, frames, question)
 diff = float(np.max(np.abs(out.first_logits - oracle.logits[-1])))
 print(f"streaming vs full-context logits: max |diff| = {diff:.3e}")
 assert diff <= 1e-4

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .masking import build_dense_layout, build_streaming_mask
+from .masking import build_dense_layout, build_streaming_mask, hide_carrier
 from .model import KvCache, Weights, forward_step
 
 
@@ -105,7 +105,7 @@ class StreamSession:
         _check_token_ids(system_tokens or [], config.vocab_size, "system")
         _check_replay_fits(config, replay)
         self.config = config
-        self.weights = weights
+        self.weights = replace(weights, config=config)  # same arrays, labelled with this variant
         self.cache = KvCache(config)
         self.bank = MemoryBank(config.memory_capacity, config.eviction_rule)
         self.replay = replay
@@ -482,6 +482,9 @@ def oracle_full_forward(
     first question prefills (`_even_sample`), right after the system
     tokens. With memory on, a stream longer than the bank evicts by score,
     which has no dense equivalent, so it needs a replay.
+
+    The variant comes from `weights.config`; pass `session.weights` to
+    check the variant a session streamed.
     """
     config = weights.config
     _check_replay_fits(config, replay)
@@ -506,13 +509,11 @@ def oracle_full_forward(
         config.carrier_kv_mode,
     )
     layout, allow = spec.layout, spec.allow
-    if replay is not None:  # an evicted carrier is hidden from later frames and the question
+    if replay is not None:  # evicted before ingest e: hidden from every row after carrier e - 1
         allow = allow.copy()
         ordinal = {f.frame_index: t for t, f in enumerate(frames)}
-        frame_of = np.array(layout.frame_of())
-        frame_of[layout.text_start :] = len(frames)  # the question comes after every frame
         for evicted, evict_ord in _evict_ordinals(replay, frames, ordinal).items():
-            allow[frame_of >= evict_ord, layout.carrier_pos(ordinal[evicted])] = False
+            hide_carrier(allow, layout, ordinal[evicted], evict_ord - 1)
 
     # a fresh cache holds nothing, so the full mask is exactly the new block
     logits = forward_step(

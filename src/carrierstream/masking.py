@@ -1,10 +1,9 @@
 """Attention mask construction.
 
-In a streaming step every new token sees every live cache entry: raw
-frame rows are never cached (only `CACHEABLE_TAGS` are), so whatever
-is in the cache is visible to whatever comes next. A mask therefore
-only ever covers the tokens being forwarded, and two builders cover
-the whole system:
+One rule decides visibility everywhere, and it is the rule of what a
+cache keeps: a raw frame row is seen only inside its own frame and is
+never cached, and every other row (a tag in `CACHEABLE_TAGS`) is cached
+and seen by every later row. Two builders state it at two scales:
 
 * `build_semantic_mask` produces the full-sequence mask over a layout
   [system][frame tokens, carrier] x T [text]. Later positions may see
@@ -16,6 +15,9 @@ the whole system:
   segment (a frame plus its carrier, or text) appended to a live cache.
   Each of its rows equals the full semantic mask's row restricted to the
   segment, and that row allows every cached entry.
+
+`hide_carrier` is the dense form of deleting a carrier's cache entry:
+the leakage tests and the oracle's eviction replay both use it.
 
 Masks are plain boolean allow-matrices; they are immutable values and
 safe to share.
@@ -107,9 +109,10 @@ class MaskSpec:
 
 
 def build_semantic_mask(layout: SegmentLayout) -> MaskSpec:
-    """Full-sequence mask enforcing one-way flow through carriers.
+    """Full-sequence mask: the streaming rule, stated once over the layout.
 
-    Rules, per query segment:
+    Row i sees row j <= i when j's tag is in `CACHEABLE_TAGS`, or when
+    both rows belong to the same frame. Per query segment that reads:
       system   -> causal within system
       frame t  -> system, carriers of frames < t, causal own-frame prefix
       carrier t-> system, carriers of frames < t, all of frame t, itself
@@ -118,33 +121,11 @@ def build_semantic_mask(layout: SegmentLayout) -> MaskSpec:
     Raw frame tokens are never visible outside their own frame, so
     anything computed after frame t can rely only on carrier t.
     """
-    n = layout.total
-    allow = np.zeros((n, n), dtype=bool)
-    s = layout.system
-    carriers = layout.carrier_positions
-
-    for i in range(s):
-        allow[i, : i + 1] = True
-
-    for t in range(layout.num_frames):
-        fstart, fstop = layout.frame_span(t)
-        cpos = layout.carrier_pos(t)
-        earlier = carriers[:t]
-        for i in range(fstart, fstop):
-            allow[i, :s] = True
-            allow[i, earlier] = True
-            allow[i, fstart : i + 1] = True
-        allow[cpos, :s] = True
-        allow[cpos, earlier] = True
-        allow[cpos, fstart : cpos + 1] = True
-
-    tstart = layout.text_start
-    for i in range(tstart, n):
-        allow[i, :s] = True
-        allow[i, carriers] = True
-        allow[i, tstart : i + 1] = True
-
-    return MaskSpec(allow=allow, layout=layout, tags=tuple(layout.tags()))
+    tags = layout.tags()
+    frame_of = np.array(layout.frame_of())
+    seen_later = np.isin(tags, CACHEABLE_TAGS) | (frame_of[:, None] == frame_of)
+    allow = np.tri(layout.total, dtype=bool) & seen_later
+    return MaskSpec(allow=allow, layout=layout, tags=tuple(tags))
 
 
 def build_dense_layout(
@@ -206,18 +187,22 @@ def build_streaming_mask(kind: str, count: int) -> MaskSpec:
     return MaskSpec(allow=np.tri(len(tags), dtype=bool), tags=tags)
 
 
+def hide_carrier(allow: np.ndarray, layout: SegmentLayout, t: int, after: int) -> None:
+    """Hide carrier t, in place, from every row after carrier `after`: the
+    dense form of deleting carrier t's cache entry once carrier `after`
+    is cached (rows up to and including that carrier still see it)."""
+    allow[layout.carrier_pos(after) + 1 :, layout.carrier_pos(t)] = False
+
+
 def remove_carrier_visibility(mask: MaskSpec, frame_ordinal: int) -> MaskSpec:
     """Copy of a full-sequence mask with carrier `frame_ordinal` hidden from
-    every other query (its own row keeps itself, so no row degenerates).
+    every later query (its own row keeps itself, so no row degenerates).
 
     Used by the leakage tests: with the carrier hidden, gradients from any
     later loss back to that frame's raw tokens must vanish identically.
     """
     if mask.layout is None:
         raise LayoutError("carrier removal needs a full-sequence mask with a layout")
-    cpos = mask.layout.carrier_pos(frame_ordinal)
     allow = mask.allow.copy()
-    keep_self = allow[cpos, cpos]
-    allow[:, cpos] = False
-    allow[cpos, cpos] = keep_self
+    hide_carrier(allow, mask.layout, frame_ordinal, frame_ordinal)
     return MaskSpec(allow=allow, layout=mask.layout, tags=mask.tags)

@@ -271,22 +271,20 @@ class KvCache:
         self,
         k_new: list[np.ndarray],
         v_new: list[np.ndarray],
-        keep: np.ndarray,
         tags: Sequence[str],
         positions: np.ndarray,
         origins: np.ndarray,
     ) -> None:
-        kept = int(keep.sum())
-        if kept == 0:
+        """Append entries: per-layer (n, h, dk) K and V, with their tags,
+        positions and origin frame indices."""
+        if len(tags) == 0:
             return
         for layer in range(self.config.layers):
-            self.k[layer] = np.concatenate([self.k[layer], k_new[layer][keep]], axis=0)
-            self.v[layer] = np.concatenate([self.v[layer], v_new[layer][keep]], axis=0)
-        for i, flag in enumerate(keep):
-            if flag:
-                self.tags.append(tags[i])
-        self.positions = np.concatenate([self.positions, positions[keep]])
-        self.origins = np.concatenate([self.origins, origins[keep]])
+            self.k[layer] = np.concatenate([self.k[layer], k_new[layer]], axis=0)
+            self.v[layer] = np.concatenate([self.v[layer], v_new[layer]], axis=0)
+        self.tags.extend(tags)
+        self.positions = np.concatenate([self.positions, positions])
+        self.origins = np.concatenate([self.origins, origins])
 
     def delete_origin(self, frame_index: int) -> int:
         """Drop every entry that originated from the given frame."""
@@ -539,6 +537,5 @@ def forward_step(
         new_origins if new_origins is not None else [-1] * m, dtype=np.int64
     )
     kept_tags = [t for t, c in zip(new_tags, cacheable) if c]
-    cache.append(k_stash, v_stash, np.ones(len(kept_tags), dtype=bool), kept_tags,
-                  positions[cacheable], origins[cacheable])
+    cache.append(k_stash, v_stash, kept_tags, positions[cacheable], origins[cacheable])
     return logits

@@ -150,19 +150,19 @@ def test_evicted_frame_cannot_influence_later_logits(tiny_weights):
 
 
 @VARIANTS
-def test_oracle_honors_replay(tiny_config, kv_mode, memory):
+def test_oracle_honors_replay(tiny_config, tiny_weights, kv_mode, memory):
     # with memory disabled the first ask prefills frames 0, 2, 3 and 5 of 6,
     # and a replay may evict only before the ask
     config = variant(tiny_config, kv_mode, memory, memory_capacity=4)
-    weights = init_model(config, seed=0)  # the oracle reads the variant from its weights
     frames = make_random_frames(6, config.tokens_per_frame, config.d_model, seed=7)
     if memory:
         replay = EvictionReplay(before_frame={3: (1,)}, before_ask=(4,))
     else:
         replay = EvictionReplay(before_ask=(2,))
-    session = stream_all(config, weights, frames, replay=replay)
+    # default-config weights: the session's copy carries the variant it streamed
+    session = stream_all(config, tiny_weights, frames, replay=replay)
     out = session.ask([8], max_new=1, keep_logits=True)
-    oracle = oracle_full_forward(weights, SYSTEM, frames, [8], replay=replay)
+    oracle = oracle_full_forward(session.weights, SYSTEM, frames, [8], replay=replay)
     assert np.abs(oracle.logits[-1] - out.first_logits).max() <= 1e-4
 
 

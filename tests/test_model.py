@@ -230,8 +230,9 @@ def test_kv_cache_metadata_shared_across_layers(tiny_config):
     rng = np.random.default_rng(0)
     k = [rng.standard_normal((3, h, dk)).astype(np.float32) for _ in range(L)]
     v = [rng.standard_normal((3, h, dk)).astype(np.float32) for _ in range(L)]
-    keep = np.array([True, False, True])
-    cache.append(k, v, keep, ["system", "frame", "carrier"], np.arange(3), np.array([-1, 0, 0]))
+    keep = np.array([True, False, True])  # the frame row is never cached
+    cache.append([a[keep] for a in k], [a[keep] for a in v], ["system", "carrier"],
+                 np.array([0, 2]), np.array([-1, 0]))
     assert len(cache) == 2
     assert cache.tags == ["system", "carrier"]
     np.testing.assert_array_equal(cache.positions, [0, 2])
