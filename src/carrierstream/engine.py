@@ -15,6 +15,7 @@ accumulation error.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -34,7 +35,11 @@ from .errors import (
     StateError,
 )
 from .masking import build_dense_layout, build_streaming_mask, hide_carrier
-from .model import KvCache, Weights, forward_step
+from .model import KvCache, StepPlan, Weights, forward_step, plan_step
+
+# segment shapes whose step plans are kept; a dialogue brings one text
+# length per question length, so the memo is bounded
+SEGMENT_PLANS_KEPT = 32
 
 
 @dataclass
@@ -149,24 +154,23 @@ class StreamSession:
         kind: str,
         count: int,
         origin: int = -1,
-        logit_rows: slice | list[int] = slice(0),
+        logit_rows: tuple[int, ...] = (),
     ) -> np.ndarray:
         """Forward one segment against the cache and retain its persistent
         part; returns the logits of `logit_rows` (by default none)."""
-        spec = build_streaming_mask(kind, count)
-        m = spec.n_queries
+        plan = segment_plan(kind, count, logit_rows, self.config.layers)
+        m = len(plan.tags)
         positions = np.arange(self._next_position, self._next_position + m, dtype=np.int64)
         logits = forward_step(
             self.weights,
             self.cache,
             np.asarray(embeddings, dtype=np.float32),
             positions,
-            spec.allow,
-            new_tags=list(spec.tags),
+            plan,
+            new_tags=plan.tags,
             new_origins=[origin] * m,
             capture=self.capture,
             flops=self.flops,
-            logit_rows=logit_rows,
         )
         self._next_position += m
         return logits
@@ -335,7 +339,7 @@ class StreamSession:
         emb = self.weights.tok_emb[np.asarray(question_ids)]
         # decoding reads the last row's logits; no step reads any other row
         logits = self._forward_segment(
-            emb, "text", len(question_ids), logit_rows=slice(-1, None) if max_new else []
+            emb, "text", len(question_ids), logit_rows=(len(question_ids) - 1,) if max_new else ()
         )
         prefill_us = (time.perf_counter_ns() - t0) / 1000.0
 
@@ -350,7 +354,7 @@ class StreamSession:
                 step_logits.append(row.copy())
             last = tid == self.config.eos_token_id or step == max_new - 1
             logits = self._forward_segment(
-                self.weights.tok_emb[np.asarray([tid])], "text", 1, logit_rows=[] if last else [0]
+                self.weights.tok_emb[np.asarray([tid])], "text", 1, logit_rows=() if last else (0,)
             )
             if last:
                 break
@@ -410,6 +414,21 @@ class StreamSession:
         if self._trace_fh is not None:
             self._trace_fh.close()
             self._trace_fh = None
+
+
+@functools.lru_cache(maxsize=SEGMENT_PLANS_KEPT)
+def segment_plan(kind: str, count: int, logit_rows: tuple[int, ...], layers: int) -> StepPlan:
+    """The step plan of one segment shape (`build_streaming_mask(kind,
+    count)`, read at `logit_rows`, through `layers` layers). It is worked
+    out on first use and then shared by every session, so its arrays are
+    read-only."""
+    spec = build_streaming_mask(kind, count)
+    plan = plan_step(spec.allow, spec.tags, list(logit_rows), layers)  # a tuple would index axes
+    arrays = [plan.mask, plan.kept] + [a for rows in plan.layers for a in rows]
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return plan
 
 
 def _even_sample(frames: list[FrameTokens], capacity: int) -> list[FrameTokens]:

@@ -18,6 +18,14 @@ rows the layer above reads and K/V for the cached rows plus the keys
 those queries see. An ingest reads no logits: its last layer computes
 only the carrier's K/V, and the layer below runs only the carrier's
 query. A step that reads every row runs every row through every layer.
+Which rows those are depends only on the step's mask, tags and rows
+read, so `plan_step` works them out once into a `StepPlan` that a
+caller running the same step shape again can pass back in.
+
+The cache is an arena: each layer's K and V sit in preallocated slots
+whose live prefix holds the entries in position order. An append fills
+the next slots, a delete shifts the later entries down in place, and
+neither reallocates until the arena runs out of slots.
 """
 
 from __future__ import annotations
@@ -43,6 +51,10 @@ from .masking import CACHEABLE_TAGS
 from .numerics import gelu, layer_norm, softmax_rows
 
 ADAPTED_PROJECTIONS = ("wq", "wk", "wv", "wo")
+
+# arena slots a fresh KvCache keeps beyond the M + 1 carriers, for system
+# and text entries; a longer dialogue doubles the capacity
+KV_OTHER_SLOTS = 64
 
 CHECKPOINT_MAGIC = b"VSWT"
 CHECKPOINT_VERSION = 1
@@ -244,28 +256,56 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 class KvCache:
-    """Per-layer key/value store with shared entry metadata.
+    """Per-layer key/value arena with shared entry metadata.
 
     Every layer holds the same entries in the same order, so tags,
     positions, and origin frame indices are stored once. Entries carry
-    the position they were computed at; deletes leave position gaps.
+    the position they were computed at, in strictly increasing order;
+    deletes leave position gaps.
+
+    Each layer's K and V live in a preallocated (capacity, h, dk) slab,
+    whose first `len(cache)` slots are the live entries, in order (one
+    sequence of fixed-size slots, as in PagedAttention's block table,
+    reduced to a single ordered block). All slabs share one array, so
+    one copy moves an entry in every layer. `append` writes the next
+    free slots and doubles the capacity when it runs out; a delete
+    shifts the later entries down in place. `k`, `v`, `positions` and
+    `origins` read as views of the live prefix, so they change with the
+    cache. The capacity starts at M + 1 carriers plus `KV_OTHER_SLOTS`
+    system and text entries, whatever `max_positions` is.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        h, dk = config.heads, config.head_dim
-        self.k = [np.zeros((0, h, dk), dtype=np.float32) for _ in range(config.layers)]
-        self.v = [np.zeros((0, h, dk), dtype=np.float32) for _ in range(config.layers)]
         self.tags: list[str] = []
-        self.positions = np.zeros(0, dtype=np.int64)
-        self.origins = np.zeros(0, dtype=np.int64)  # frame index, -1 for non-frame entries
+        self._n = 0
+        h, dk = config.heads, config.head_dim
+        capacity = config.memory_capacity + 1 + KV_OTHER_SLOTS
+        self._kv = np.empty((config.layers, 2, capacity, h, dk), dtype=np.float32)  # K, V
+        self._meta = np.empty((2, capacity), dtype=np.int64)  # positions, origins (-1: no frame)
 
     def __len__(self) -> int:
-        return len(self.tags)
+        return self._n
+
+    @property
+    def k(self) -> list[np.ndarray]:
+        return list(self._kv[:, 0, : self._n])
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        return list(self._kv[:, 1, : self._n])
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._meta[0, : self._n]
+
+    @property
+    def origins(self) -> np.ndarray:
+        return self._meta[1, : self._n]
 
     @property
     def max_position(self) -> int:
-        return -1 if len(self.positions) == 0 else int(self.positions.max())
+        return -1 if self._n == 0 else int(self._meta[0, self._n - 1])
 
     def append(
         self,
@@ -277,14 +317,29 @@ class KvCache:
     ) -> None:
         """Append entries: per-layer (n, h, dk) K and V, with their tags,
         positions and origin frame indices."""
-        if len(tags) == 0:
+        count = len(tags)
+        if count == 0:
             return
+        n, capacity = self._n, self._meta.shape[1]
+        if n + count > capacity:
+            self._reserve(max(2 * capacity, n + count))
+        end = n + count
         for layer in range(self.config.layers):
-            self.k[layer] = np.concatenate([self.k[layer], k_new[layer]], axis=0)
-            self.v[layer] = np.concatenate([self.v[layer], v_new[layer]], axis=0)
+            self._kv[layer, 0, n:end] = k_new[layer]
+            self._kv[layer, 1, n:end] = v_new[layer]
+        self._meta[0, n:end] = positions
+        self._meta[1, n:end] = origins
         self.tags.extend(tags)
-        self.positions = np.concatenate([self.positions, positions])
-        self.origins = np.concatenate([self.origins, origins])
+        self._n = end
+
+    def _reserve(self, capacity: int) -> None:
+        """Move the live entries into an arena of `capacity` slots."""
+        n = self._n
+        kv = np.empty(self._kv.shape[:2] + (capacity,) + self._kv.shape[3:], dtype=np.float32)
+        kv[:, :, :n] = self._kv[:, :, :n]
+        meta = np.empty((2, capacity), dtype=np.int64)
+        meta[:, :n] = self._meta[:, :n]
+        self._kv, self._meta = kv, meta
 
     def delete_origin(self, frame_index: int) -> int:
         """Drop every entry that originated from the given frame."""
@@ -295,23 +350,28 @@ class KvCache:
         return self._drop(np.array([t == tag for t in self.tags], dtype=bool))
 
     def _drop(self, drop: np.ndarray) -> int:
-        """Remove the entries flagged in `drop`; returns how many went."""
-        n = int(drop.sum())
-        if n == 0:
+        """Remove the entries flagged in `drop` (one flag per live entry)
+        by moving each run of survivors down over the gap before it;
+        returns how many went."""
+        gone = np.flatnonzero(drop).tolist()
+        if not gone:
             return 0
-        keep = ~drop
-        for layer in range(self.config.layers):
-            self.k[layer] = self.k[layer][keep]
-            self.v[layer] = self.v[layer][keep]
-        self.tags = [t for t, f in zip(self.tags, keep) if f]
-        self.positions = self.positions[keep]
-        self.origins = self.origins[keep]
-        return n
+        end = gone[0]
+        for g, nxt in zip(gone, gone[1:] + [self._n]):  # survivors g+1 .. nxt-1 move to `end`
+            count = nxt - g - 1
+            if count:
+                self._kv[:, :, end : end + count] = self._kv[:, :, g + 1 : nxt]
+                self._meta[:, end : end + count] = self._meta[:, g + 1 : nxt]
+                end += count
+        for g in reversed(gone):
+            del self.tags[g]
+        self._n = end
+        return len(gone)
 
     def entry_kv(self, index: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (k, v) copies for one cache entry."""
-        ks = [self.k[layer][index].copy() for layer in range(self.config.layers)]
-        vs = [self.v[layer][index].copy() for layer in range(self.config.layers)]
+        ks = [k[index].copy() for k in self.k]
+        vs = [v[index].copy() for v in self.v]
         return ks, vs
 
 
@@ -438,12 +498,49 @@ def _take(a: np.ndarray, index: np.ndarray | None) -> np.ndarray:
     return a if index is None else a[index]
 
 
+class StepPlan(NamedTuple):
+    """What a step's mask, tags and rows read fix, worked out once: a
+    step with the same three (and layer count) runs the same plan."""
+
+    mask: np.ndarray  # (m, m) allow block over the new rows
+    tags: tuple[str, ...]
+    kept: np.ndarray | None  # the cacheable rows, whose K/V the cache keeps (None: all)
+    kept_tags: tuple[str, ...]
+    layers: tuple[_LayerRows, ...]  # `_row_plan`, first layer first
+    counts: tuple[tuple[int, int, int], ...]  # per layer: input, query and key rows
+
+
+def plan_step(
+    mask: np.ndarray, tags: Sequence[str], logit_rows: slice | Sequence[int], layers: int
+) -> StepPlan:
+    """The plan of a step over `len(tags)` new rows under `mask` whose
+    caller reads the logits of `logit_rows`."""
+    m = len(tags)
+    if mask.shape != (m, m):
+        raise ShapeError(f"mask {mask.shape}, expected ({m}, {m})")
+    read = np.zeros(m, dtype=bool)
+    try:
+        read[logit_rows] = True
+    except IndexError:
+        raise ShapeError(f"logit rows {logit_rows!r} outside {m} new tokens") from None
+    cacheable = np.array([t in CACHEABLE_TAGS for t in tags], dtype=bool)
+    rows = tuple(_row_plan(mask, cacheable, read, layers))
+    return StepPlan(
+        mask=mask,
+        tags=tuple(tags),
+        kept=None if cacheable.all() else np.flatnonzero(cacheable),
+        kept_tags=tuple(t for t, c in zip(tags, cacheable) if c),
+        layers=rows,
+        counts=tuple((int(r.inputs.sum()), int(r.queries.sum()), int(r.keys.sum())) for r in rows),
+    )
+
+
 def forward_step(
     weights: Weights,
     cache: KvCache,
     new_embeddings: np.ndarray,
     positions: np.ndarray,
-    mask: np.ndarray,
+    mask: np.ndarray | StepPlan,
     new_tags: Sequence[str],
     new_origins: Sequence[int] | None = None,
     capture=None,
@@ -467,15 +564,23 @@ def forward_step(
     carrier's K/V and the layer below it runs only the carrier's query.
     When every row is read, every layer runs every row.
 
+    In place of the block, `mask` may be the step's `StepPlan`
+    (`plan_step`), which fixes the block, the tags and the rows read
+    together; `new_tags` are then its tags and `logit_rows` is not
+    used. A caller that runs one step shape many times plans it once.
+
     `capture` (attention observer) and `flops` (step counter) are
     optional instrumentation hooks; neither affects any computed value.
     """
     config = weights.config
+    plan = mask if isinstance(mask, StepPlan) else plan_step(mask, new_tags, logit_rows, config.layers)
     m = new_embeddings.shape[0]
     if new_embeddings.shape != (m, config.d_model):
         raise ShapeError(f"embeddings {new_embeddings.shape}, expected ({m}, {config.d_model})")
-    if len(new_tags) != m:
-        raise ShapeError(f"{len(new_tags)} tags for {m} tokens")
+    if len(plan.tags) != m:
+        raise ShapeError(f"{len(plan.tags)} tags for {m} tokens")
+    if len(plan.layers) != config.layers:
+        raise ShapeError(f"a plan of {len(plan.layers)} layers for a {config.layers}-layer model")
     positions = np.asarray(positions, dtype=np.int64)
     if positions.shape != (m,):
         raise ShapeError(f"positions {positions.shape}, expected ({m},)")
@@ -485,25 +590,17 @@ def forward_step(
         raise OrderingError(
             f"position {int(positions[0])} not after cached maximum {cache.max_position}"
         )
-    if mask.shape != (m, m):
-        raise ShapeError(f"mask {mask.shape}, expected ({m}, {m})")
-    read = np.zeros(m, dtype=bool)
-    try:
-        read[logit_rows] = True
-    except IndexError:
-        raise ShapeError(f"logit rows {logit_rows!r} outside {m} new tokens") from None
 
-    cacheable = np.array([t in CACHEABLE_TAGS for t in new_tags], dtype=bool)
-    plan = _row_plan(mask, cacheable, read, config.layers)
     heads, dk = config.heads, config.head_dim
-    first = plan[0].inputs
+    first = plan.layers[0].inputs
     x = embed_positions(new_embeddings[first], weights.pos_emb, positions[first])
+    cached_k, cached_v = cache.k, cache.v
     k_stash: list[np.ndarray] = []
     v_stash: list[np.ndarray] = []
 
     # x holds the layer's input rows; each layer leaves its query rows,
     # which are the next layer's input rows
-    for layer, (lw, rows) in enumerate(zip(weights.layers, plan)):
+    for layer, (lw, rows) in enumerate(zip(weights.layers, plan.layers)):
         a_in = layer_norm(x, lw.ln1_g, lw.ln1_b)
         key_in = _take(a_in, rows.key_in)
         k_new = _project(key_in, lw, "wk").reshape(-1, heads, dk)
@@ -514,15 +611,15 @@ def forward_step(
             x = x[:0]
             continue
         q = _project(_take(a_in, rows.query_in), lw, "wq")
-        attn, probs = attention_forward(q, cache.k[layer], cache.v[layer], k_new, v_new, rows.mask, heads)
+        attn, probs = attention_forward(q, cached_k[layer], cached_v[layer], k_new, v_new, rows.mask, heads)
         if capture is not None:
             capture.observe(
                 layer=layer,
                 probs=probs,
                 key_positions=np.concatenate([cache.positions, positions[rows.keys]]),
-                key_tags=tuple(cache.tags) + tuple(t for t, keyed in zip(new_tags, rows.keys) if keyed),
+                key_tags=tuple(cache.tags) + tuple(t for t, keyed in zip(plan.tags, rows.keys) if keyed),
                 query_positions=positions[rows.queries],
-                query_tags=tuple(t for t, asks in zip(new_tags, rows.queries) if asks),
+                query_tags=tuple(t for t, asks in zip(plan.tags, rows.queries) if asks),
             )
         x = _take(x, rows.query_in) + _project(attn, lw, "wo")
         f_in = layer_norm(x, lw.ln2_g, lw.ln2_b)
@@ -530,12 +627,10 @@ def forward_step(
 
     logits = x @ weights.unembed
     if flops is not None:
-        counts = [(int(r.inputs.sum()), int(r.queries.sum()), int(r.keys.sum())) for r in plan]
-        flops.add_step(m, len(cache) + m, counts)
+        flops.add_step(m, len(cache) + m, plan.counts)
 
     origins = np.asarray(
         new_origins if new_origins is not None else [-1] * m, dtype=np.int64
     )
-    kept_tags = [t for t, c in zip(new_tags, cacheable) if c]
-    cache.append(k_stash, v_stash, kept_tags, positions[cacheable], origins[cacheable])
+    cache.append(k_stash, v_stash, plan.kept_tags, _take(positions, plan.kept), _take(origins, plan.kept))
     return logits

@@ -44,13 +44,21 @@ LN_EPS = 1e-5  # the one layer-norm variance floor; the backward in autodiff use
 
 
 def layer_norm(v: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    if v.shape[-1] != gain.shape[-1] or gain.shape != bias.shape:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    The means are `np.mean`'s own steps (an add-reduce in the input's
+    dtype, then a divide by the count), without its per-call wrappers.
+    """
+    d = v.shape[-1]
+    if d != gain.shape[-1] or gain.shape != bias.shape:
         raise ShapeError(
-            f"layer_norm length mismatch: v[..., {v.shape[-1]}], gain {gain.shape}, bias {bias.shape}"
+            f"layer_norm length mismatch: v[..., {d}], gain {gain.shape}, bias {bias.shape}"
         )
-    centered = v - v.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    mean = np.add.reduce(v, axis=-1, keepdims=True)
+    mean /= d
+    centered = v - mean
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var /= d
     centered /= np.sqrt(var + np.asarray(LN_EPS, dtype=v.dtype))
     centered *= gain
     centered += bias

@@ -23,6 +23,10 @@ from carrierstream import (
     make_random_frames,
     oracle_full_forward,
 )
+from carrierstream import engine
+from carrierstream.engine import SEGMENT_PLANS_KEPT, segment_plan
+from carrierstream.masking import CACHEABLE_TAGS, build_streaming_mask
+from carrierstream.model import _row_plan
 from conftest import copy_frames
 
 SYSTEM = [1, 2, 3, 4]
@@ -432,3 +436,47 @@ def test_first_logits_requires_keep(tiny_config, tiny_weights, tiny_frames):
     out = session.ask([5], max_new=1)
     with pytest.raises(StateError):
         _ = out.first_logits
+
+
+def test_memoized_segment_plans_equal_fresh_row_plans(tiny_config, tiny_weights, tiny_frames, monkeypatch):
+    issued = set()
+
+    def record(*key):
+        issued.add(key)
+        return segment_plan(*key)
+
+    monkeypatch.setattr(engine, "segment_plan", record)
+    for overrides in ({}, {"carrier_kv_mode": "embedding_only"}, {"memory_enabled": False}):
+        config = ModelConfig(**{**tiny_config.to_dict(), "memory_capacity": 3, **overrides})
+        session = stream_all(config, tiny_weights, copy_frames(tiny_frames))
+        for question, max_new in (([5, 6], 3), ([7], 0), ([1, 2, 3], 1)):
+            session.ask(question, max_new=max_new)
+    assert {kind for kind, *_ in issued} == {"system", "frame", "carrier", "text"}
+    assert {rows for *_, rows, _ in issued} == {(), (0,), (1,), (2,)}
+
+    for kind, count, rows, layers in issued:
+        plan, spec = segment_plan(kind, count, rows, layers), build_streaming_mask(kind, count)
+        read = np.isin(np.arange(len(spec.tags)), rows)
+        cacheable = np.isin(spec.tags, CACHEABLE_TAGS)
+        assert np.array_equal(plan.mask, spec.allow) and plan.tags == spec.tags
+        assert plan.kept_tags == tuple(np.array(spec.tags)[cacheable])
+        for got, fresh in zip(plan.layers, _row_plan(spec.allow, cacheable, read, layers), strict=True):
+            for a, b in zip(got, fresh, strict=True):
+                assert a is b is None or np.array_equal(a, b)
+
+
+def test_segment_plan_memo_stays_at_its_bound(tiny_config, tiny_weights):
+    session = StreamSession(tiny_config, tiny_weights, system_tokens=SYSTEM)
+    segment_plan.cache_clear()
+    for length in range(1, SEGMENT_PLANS_KEPT + 6):  # one text plan per question length
+        session.ask(list(range(1, length + 1)), max_new=0)
+        session.reset_dialogue()
+    assert segment_plan.cache_info().currsize == SEGMENT_PLANS_KEPT
+
+
+def test_memoized_plans_are_read_only(tiny_config):
+    plan = segment_plan("frame", tiny_config.tokens_per_frame, (), tiny_config.layers)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.mask[0, 1] = True
+    arrays = [a for rows in plan.layers for a in rows if a is not None]
+    assert arrays and not any(a.flags.writeable for a in arrays)

@@ -36,6 +36,24 @@ def test_make_random_frames_seeded():
     assert all(np.abs(f.embeddings).max() <= bound for f in a)
 
 
+@pytest.mark.parametrize("count, n, d, seed", [
+    (1, 8, 32, 0),  # a single frame
+    (129, 8, 32, 1),  # 16 frames to a chunk: 8 chunks, and one frame more
+    (256, 8, 32, 2),  # exactly 16 chunks
+    (100, 4, 24, 3),  # 42 frames to a chunk, 16 left over
+    (300, 16, 256, 4),  # one frame to a chunk
+    (3, 300, 200, 5),  # a frame larger than a chunk
+])
+def test_make_random_frames_equals_per_frame_draws(count, n, d, seed):
+    rng = np.random.default_rng(seed)  # the reference: one draw per frame
+    scale = 1.0 / np.sqrt(d)
+    expected = [rng.uniform(-scale, scale, size=(n, d)).astype(np.float32) for _ in range(count)]
+    frames = make_random_frames(count, n, d, seed)
+    assert [f.frame_index for f in frames] == list(range(count))
+    for f, e in zip(frames, expected):
+        assert f.embeddings.dtype == np.float32 and np.array_equal(f.embeddings, e)
+
+
 def test_save_frames_refuses_bad_input(tmp_path):
     with pytest.raises(ShapeError):
         save_frames(str(tmp_path / "x.bin"), [])

@@ -35,6 +35,7 @@ from carrierstream import (
     TaskSpec,
     step_flops,
 )
+from carrierstream.model import KV_OTHER_SLOTS
 
 
 def test_attention_hand_check():
@@ -245,6 +246,67 @@ def test_kv_cache_metadata_shared_across_layers(tiny_config):
     assert cache.delete_tag("system") == 1
     assert len(cache) == 0
     assert cache.max_position == -1
+
+
+class ConcatCache:
+    """The reference K/V store: every append concatenates and every delete
+    copies what is kept, layer by layer."""
+
+    def __init__(self, config):
+        shape = (0, config.heads, config.head_dim)
+        self.k = [np.zeros(shape, np.float32) for _ in range(config.layers)]
+        self.v = [np.zeros(shape, np.float32) for _ in range(config.layers)]
+        self.tags, self.positions, self.origins = [], np.zeros(0, np.int64), np.zeros(0, np.int64)
+
+    def append(self, k, v, tags, positions, origins):
+        self.k = [np.concatenate([a, b]) for a, b in zip(self.k, k)]
+        self.v = [np.concatenate([a, b]) for a, b in zip(self.v, v)]
+        self.tags = self.tags + list(tags)
+        self.positions = np.concatenate([self.positions, positions])
+        self.origins = np.concatenate([self.origins, origins])
+
+    def drop(self, gone):
+        keep = ~np.asarray(gone, dtype=bool)
+        self.k = [a[keep] for a in self.k]
+        self.v = [a[keep] for a in self.v]
+        self.tags = [t for t, f in zip(self.tags, keep) if f]
+        self.positions, self.origins = self.positions[keep], self.origins[keep]
+        return int((~keep).sum())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kv_arena_matches_concat_reference(tiny_config, seed):
+    rng = np.random.default_rng(seed)
+    h, dk = tiny_config.heads, tiny_config.head_dim
+    arena, ref = KvCache(tiny_config), ConcatCache(tiny_config)
+    next_position, largest = 0, 0
+    for step in range(400):
+        op = rng.choice(["append", "delete_origin", "delete_tag"], p=[0.6, 0.25, 0.15])
+        if op == "append" or step < 60:  # the opening appends grow past the initial capacity
+            count = int(rng.integers(0, 6))
+            tags = list(rng.choice(["system", "carrier", "text"], size=count))
+            positions = next_position + np.cumsum(rng.integers(1, 4, size=count))
+            origins = np.where(np.array(tags) == "carrier", rng.integers(0, 12, size=count), -1)
+            k = [rng.standard_normal((count, h, dk)).astype(np.float32) for _ in range(tiny_config.layers)]
+            v = [rng.standard_normal((count, h, dk)).astype(np.float32) for _ in range(tiny_config.layers)]
+            arena.append(k, v, tags, positions, origins)
+            ref.append(k, v, tags, positions, origins)
+            next_position = int(positions[-1]) if count else next_position
+        elif op == "delete_origin":
+            frame = int(rng.integers(-1, 12))
+            assert arena.delete_origin(frame) == ref.drop(ref.origins == frame)
+        else:
+            tag = str(rng.choice(["system", "carrier", "text"]))
+            assert arena.delete_tag(tag) == ref.drop(np.array(ref.tags) == tag)
+        largest = max(largest, len(arena))
+        assert len(arena) == len(ref.tags) and arena.tags == ref.tags
+        assert np.array_equal(arena.positions, ref.positions)
+        assert np.array_equal(arena.origins, ref.origins)
+        assert arena.max_position == (int(ref.positions.max()) if len(ref.tags) else -1)
+        for layer in range(tiny_config.layers):
+            assert np.array_equal(arena.k[layer], ref.k[layer])
+            assert np.array_equal(arena.v[layer], ref.v[layer])
+    assert largest > tiny_config.memory_capacity + 1 + KV_OTHER_SLOTS
 
 
 def test_embed_positions_bounds(tiny_config, tiny_weights):
