@@ -4,13 +4,17 @@ Training and gradient checking run at float64 on batched full sequences
 (no KV cache); the streaming engine stays float32. The forward has no
 math of its own: it calls the engine's kernels (`embed_positions`,
 `layer_norm`, `_project`, `attention_core`, `gelu`) over a batch axis,
-so on float64 weights its logits equal `model.forward_step`'s bit for
-bit. The tape keeps only layer inputs and activations; the backward
-recomputes the layer-norm statistics and adapter products it needs. It
-always carries the input gradient down through every layer, and it
-computes a weight gradient only for the parameter paths the caller
-wants: a training stage asks for its own parameter group, the gradient
-check for every path.
+and it runs the rows the engine's `_row_plan` picks for a step that
+caches nothing and reads the loss rows. Each layer computes K/V on its
+key rows and the query path on its query rows, and the forward returns
+the logits of the read rows only, so on float64 weights they equal
+`model.forward_step`'s for those rows bit for bit. The tape keeps only
+each layer's rows, inputs and activations; the backward recomputes the
+layer-norm statistics and adapter products it needs. It always carries
+the input gradient down through every layer, and it computes a weight
+gradient only for the parameter paths the caller wants: a training
+stage asks for its own parameter group, the gradient check for every
+path. A row no layer runs gets an input gradient of exactly 0.
 
 Masked attention entries have probability exactly 0, so their score
 gradients are exactly 0 as well; the leakage guarantees downstream rest
@@ -25,7 +29,7 @@ from typing import Callable, Collection
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .model import LayerWeights, Weights, _project, attention_core, embed_positions
+from .model import LayerWeights, Weights, _project, _row_plan, attention_core, embed_positions
 from .numerics import LN_EPS, gelu, gelu_grad, layer_norm
 
 
@@ -58,6 +62,46 @@ class TrainBatch:
 Wanted = Callable[[str], bool]
 
 
+def _mean(a: np.ndarray) -> np.ndarray:
+    """`a.mean(axis=-1, keepdims=True)`, bit for bit."""
+    total = np.add.reduce(a, axis=-1, keepdims=True)
+    total /= a.shape[-1]
+    return total
+
+
+def _loss_rows(batch: TrainBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the loss reads, ascending, and where each loss column
+    sits among them, as (r,) and (b, q) arrays."""
+    rows, cols = np.unique(batch.loss_pos, return_inverse=True)
+    s = batch.embeds.shape[1]
+    if rows.size and (rows[0] < 0 or rows[-1] >= s):
+        raise ShapeError(f"loss columns {rows[0]}..{rows[-1]} outside {s} rows")
+    return rows, cols.reshape(batch.loss_pos.shape)
+
+
+def _rows(a: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    """The `index` rows of a batched (b, n, ...) array; None: all of them."""
+    return a if index is None else a[:, index]
+
+
+def _spread(part: np.ndarray, index: np.ndarray | None, n: int) -> np.ndarray:
+    """`part`, given on the `index` rows (indices or a mask) of n, as all
+    n rows, 0 elsewhere; None: `part` is all n rows."""
+    if index is None:
+        return part
+    out = np.zeros(part.shape[:1] + (n,) + part.shape[2:], dtype=part.dtype)
+    out[:, index] = part
+    return out
+
+
+def _add_rows(a: np.ndarray, index: np.ndarray | None, part: np.ndarray) -> None:
+    """Add `part` to the `index` rows of `a` in place; None: all rows."""
+    if index is None:
+        a += part
+    else:
+        a[:, index] += part
+
+
 def _ln_backward(
     dy: np.ndarray, x: np.ndarray, g: np.ndarray, grads: dict, prefix: str, want: Wanted
 ) -> np.ndarray:
@@ -68,12 +112,13 @@ def _ln_backward(
     """
     # x_hat and the products with it are the only fresh (b, s, d) arrays:
     # the einsum variance and the in-place updates allocate no other, and
-    # each fresh one costs page faults
-    x_hat = x - x.mean(axis=-1, keepdims=True)
-    var = np.einsum("...i,...i->...", x_hat, x_hat)[..., None] / x.shape[-1]
+    # each fresh one costs page faults. The means are `np.mean`'s own
+    # steps (an add-reduce, then a divide by d) without its wrappers.
+    d = dy.shape[-1]
+    x_hat = x - _mean(x)
+    var = np.einsum("...i,...i->...", x_hat, x_hat)[..., None] / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     x_hat *= inv_std
-    d = dy.shape[-1]
     if want(prefix + "g"):
         grads[prefix + "g"] = (dy * x_hat).reshape(-1, d).sum(axis=0)
     if want(prefix + "b"):
@@ -81,8 +126,8 @@ def _ln_backward(
     # dx = inv_std * (dxh - mean(dxh) - x_hat * mean(dxh * x_hat)), dxh = dy * g
     dxh = dy
     dxh *= g
-    x_hat *= (dxh * x_hat).mean(axis=-1, keepdims=True)
-    dxh -= dxh.mean(axis=-1, keepdims=True)
+    x_hat *= _mean(dxh * x_hat)
+    dxh -= _mean(dxh)
     dxh -= x_hat
     dxh *= inv_std
     return dxh
@@ -114,7 +159,13 @@ def _proj_backward(
 def forward_train(
     weights: Weights, batch: TrainBatch, want_tape: bool = True
 ) -> tuple[np.ndarray, list[dict] | None, np.ndarray]:
-    """Batched float64 forward. Returns (logits (b,s,V), tape, x0)."""
+    """Batched float64 forward of the rows the loss reads.
+
+    The rows are `_row_plan`'s for the batch's mask with no row cached
+    and the loss columns of every stream read. Returns (logits (b, r, V)
+    of those r rows in row order, tape, x0), where x0 holds the
+    position-embedded rows the first layer runs.
+    """
     config = weights.config
     b, s, d = batch.embeds.shape
     if d != config.d_model:
@@ -124,30 +175,37 @@ def forward_train(
     if not batch.mask.any(axis=1).all():
         raise DegenerateInputError("mask has a query row with no allowed key")
     heads, dk = config.heads, config.head_dim
+    read = np.zeros(s, dtype=bool)
+    read[_loss_rows(batch)[0]] = True
+    plan = _row_plan(batch.mask, np.zeros(s, dtype=bool), read, config.layers)
 
     def split_heads(y: np.ndarray) -> np.ndarray:
-        return y.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+        return y.reshape(b, -1, heads, dk).transpose(0, 2, 1, 3)
 
-    x = embed_positions(batch.embeds, weights.pos_emb, batch.positions)
+    first = plan[0].inputs
+    x = embed_positions(batch.embeds[:, first], weights.pos_emb, batch.positions[first])
     x0 = x
     tape: list[dict] | None = [] if want_tape else None
 
-    for lw in weights.layers:
+    # x holds the layer's input rows; each layer leaves its query rows,
+    # which are the next layer's input rows
+    for lw, rows in zip(weights.layers, plan):
         a_in = layer_norm(x, lw.ln1_g, lw.ln1_b)
-        qh = split_heads(_project(a_in, lw, "wq"))
-        kh = split_heads(_project(a_in, lw, "wk"))
-        vh = split_heads(_project(a_in, lw, "wv"))
-        oh, probs = attention_core(qh, kh, vh, batch.mask)
-        o = oh.transpose(0, 2, 1, 3).reshape(b, s, d)
+        a_q, a_k = _rows(a_in, rows.query_in), _rows(a_in, rows.key_in)
+        qh = split_heads(_project(a_q, lw, "wq"))
+        kh = split_heads(_project(a_k, lw, "wk"))
+        vh = split_heads(_project(a_k, lw, "wv"))
+        oh, probs = attention_core(qh, kh, vh, rows.mask)
+        o = oh.transpose(0, 2, 1, 3).reshape(b, -1, d)
         x1 = _project(o, lw, "wo")
-        x1 += x
+        x1 += _rows(x, rows.query_in)
         f_in = layer_norm(x1, lw.ln2_g, lw.ln2_b)
         h_pre = f_in @ lw.w1
         h = gelu(h_pre)
         if want_tape:
             tape.append(
-                dict(x_in=x, a_in=a_in, qh=qh, kh=kh, vh=vh, probs=probs, o=o,
-                     x1=x1, f_in=f_in, h_pre=h_pre, h=h)
+                dict(rows=rows, x_in=x, a_q=a_q, a_k=a_k, qh=qh, kh=kh, vh=vh, probs=probs,
+                     o=o, x1=x1, f_in=f_in, h_pre=h_pre, h=h)
             )
         x = h @ lw.w2
         x += x1
@@ -168,6 +226,11 @@ def backward(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Reverse pass. Returns (grads by parameter path, d input-embeddings).
 
+    `dlogits` is (b, r, V) over the read rows, as `forward_train` returns
+    the logits. Each layer's K/V gradient lands on its key rows and its
+    query and residual gradients on its query rows; the returned (b, s, d)
+    d-embeddings are exactly 0 on the rows no layer ran.
+
     `wanted` names the parameter paths to compute gradients for; the
     default is every layer weight, adapter factor, pos_emb and unembed,
     and paths backward does not own (tok_emb, stub) are ignored. The
@@ -185,11 +248,12 @@ def backward(
     if want("unembed"):
         x_final = tape[-1]["x_final"]
         grads["unembed"] = x_final.reshape(-1, d).T @ dlogits.reshape(-1, config.vocab_size)
-    dx = dlogits @ weights.unembed.T
+    dx = dlogits @ weights.unembed.T  # the last layer's query rows
 
-    # every (b, s, d) and (b, h, s, s) update below is in place: the same
+    # every (b, n, d) and (b, h, m, n) update below is in place: the same
     # operations in the same order as the out-of-place formulas, so the
-    # bits match, without a fresh array per term
+    # bits match, without a fresh array per term. dx holds the gradient
+    # of the layer's query rows, and it leaves with its input rows'.
     for layer in range(config.layers - 1, -1, -1):
         lw = weights.layers[layer]
         rec = tape[layer]
@@ -205,9 +269,10 @@ def backward(
         dx1 = _ln_backward(dh @ lw.w1.T, rec["x1"], lw.ln2_g, grads, prefix + "ln2_", want)
         dx1 += dx
 
-        # attention block: x1 = x_in + proj_o(attn(ln1(x_in)))
+        # attention block: x1 = x_in[q] + proj_o(attn(ln1(x_in)[q], ln1(x_in)[k]))
+        rows = rec["rows"]
         do = _proj_backward(dx1, rec["o"], lw, "wo", grads, prefix, want)
-        doh = do.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+        doh = do.reshape(b, -1, heads, dk).transpose(0, 2, 1, 3)
         probs, qh, kh, vh = rec["probs"], rec["qh"], rec["kh"], rec["vh"]
         dvh = probs.transpose(0, 1, 3, 2) @ doh
         # softmax backward: dscores = probs * (dprobs - sum(dprobs * probs))
@@ -218,30 +283,37 @@ def backward(
         dqh *= scale
         dkh = dscores.transpose(0, 1, 3, 2) @ qh
         dkh *= scale
-        dq = dqh.transpose(0, 2, 1, 3).reshape(b, s, d)
-        dk_ = dkh.transpose(0, 2, 1, 3).reshape(b, s, d)
-        dv = dvh.transpose(0, 2, 1, 3).reshape(b, s, d)
-        a_in = rec["a_in"]
-        d_a_in = _proj_backward(dq, a_in, lw, "wq", grads, prefix, want)
-        d_a_in += _proj_backward(dk_, a_in, lw, "wk", grads, prefix, want)
-        d_a_in += _proj_backward(dv, a_in, lw, "wv", grads, prefix, want)
+        dq = dqh.transpose(0, 2, 1, 3).reshape(b, -1, d)
+        dk_ = dkh.transpose(0, 2, 1, 3).reshape(b, -1, d)
+        dv = dvh.transpose(0, 2, 1, 3).reshape(b, -1, d)
+        a_k = rec["a_k"]
+        d_a_k = _proj_backward(dk_, a_k, lw, "wk", grads, prefix, want)
+        d_a_k += _proj_backward(dv, a_k, lw, "wv", grads, prefix, want)
+        n_in = rec["x_in"].shape[1]
+        d_a_in = _spread(d_a_k, rows.key_in, n_in)
+        d_a_q = _proj_backward(dq, rec["a_q"], lw, "wq", grads, prefix, want)
+        _add_rows(d_a_in, rows.query_in, d_a_q)
         dx = _ln_backward(d_a_in, rec["x_in"], lw.ln1_g, grads, prefix + "ln1_", want)
-        dx += dx1
+        _add_rows(dx, rows.query_in, dx1)
 
+    first = tape[0]["rows"].inputs
     if want("pos_emb"):
         d_pos = np.zeros_like(weights.pos_emb)
-        np.add.at(d_pos, batch.positions, dx.sum(axis=0))
+        np.add.at(d_pos, batch.positions[first], dx.sum(axis=0))
         grads["pos_emb"] = d_pos
-    return grads, dx
+    return grads, _spread(dx, first, s)
 
 
 def cross_entropy(logits: np.ndarray, batch: TrainBatch) -> tuple[float, np.ndarray, float]:
     """Mean next-token CE over the loss positions.
 
-    Returns (loss, dlogits (b,s,V), accuracy at the loss positions).
+    `logits` are (b, r, V) over the rows the loss reads, as `forward_train`
+    returns them. Returns (loss, dlogits (b, r, V), accuracy at the loss
+    positions).
     """
-    b, s, vocab = logits.shape
-    rows = logits[np.arange(b)[:, None], batch.loss_pos]  # (b, q, V)
+    b = logits.shape[0]
+    at = (np.arange(b)[:, None], _loss_rows(batch)[1])
+    rows = logits[at]  # (b, q, V)
     z = rows - rows.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - lse
@@ -254,7 +326,7 @@ def cross_entropy(logits: np.ndarray, batch: TrainBatch) -> tuple[float, np.ndar
     drows[np.arange(b)[:, None], np.arange(q)[None, :], batch.targets] -= 1.0
     drows /= b * q
     dlogits = np.zeros_like(logits)
-    dlogits[np.arange(b)[:, None], batch.loss_pos] = drows
+    np.add.at(dlogits, at, drows)  # a column a stream lists twice counts twice
     return loss, dlogits, acc
 
 

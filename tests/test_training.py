@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from carrierstream import (
     ConfigError,
     KvCache,
     ModelConfig,
+    ShapeError,
     TaskSpec,
     TrainConfig,
     Weights,
     all_param_paths,
+    batch_loss,
     batch_loss_and_grads,
     backward,
     build_batch,
@@ -31,7 +34,10 @@ from carrierstream import (
     trainable_paths,
     TrainBatch,
 )
+from carrierstream.autodiff import _ln_backward, _proj_backward
 from carrierstream.masking import SegmentLayout, build_semantic_mask
+from carrierstream.model import _project, _row_plan, attention_core, embed_positions
+from carrierstream.numerics import gelu, gelu_grad, layer_norm
 from carrierstream.training import _assemble_grads
 
 CFG = ModelConfig(
@@ -207,8 +213,8 @@ def test_stage_training_equals_a_full_gradient_loop(stage):
 
 
 def test_cross_entropy_hand_value():
-    logits = np.zeros((1, 3, 4))
-    logits[0, 2] = np.log([0.1, 0.2, 0.3, 0.4])
+    # the logits are the read rows': row 2 is the only row the loss reads
+    logits = np.log([0.1, 0.2, 0.3, 0.4]).reshape(1, 1, 4)
     batch = TrainBatch(
         embeds=np.zeros((1, 3, 2)),
         positions=np.arange(3),
@@ -219,10 +225,42 @@ def test_cross_entropy_hand_value():
     loss, dlogits, acc = cross_entropy(logits, batch)
     assert loss == pytest.approx(-np.log(0.4), abs=1e-9)
     assert acc == 1.0
+    assert dlogits.shape == (1, 1, 4)
     np.testing.assert_allclose(
-        dlogits[0, 2], [0.1, 0.2, 0.3, 0.4 - 1.0], atol=1e-9
+        dlogits[0, 0], [0.1, 0.2, 0.3, 0.4 - 1.0], atol=1e-9
     )
-    assert dlogits[0, 0].sum() == 0.0  # non-loss rows get no gradient
+
+
+def test_a_repeated_loss_column_counts_twice_in_the_gradient():
+    # the mean of two equal terms is the term: a stream listing column 7
+    # twice has the loss and the gradients of listing it once
+    w = init_model(CFG, seed=0).astype(np.float64)
+    rng = np.random.default_rng(0)
+    embeds = rng.standard_normal((1, 10, CFG.d_model))
+
+    def run(columns):
+        return batch_loss_and_grads(w, TrainBatch(
+            embeds=embeds, positions=np.arange(10), mask=np.tril(np.ones((10, 10), bool)),
+            loss_pos=np.array([columns]), targets=np.full((1, len(columns)), 3),
+        ))
+
+    (loss2, grads2, d2, _), (loss1, grads1, d1, _) = run([7, 7]), run([7])
+    assert loss2 == loss1
+    assert np.array_equal(d2, d1)
+    for path in grads1:
+        assert np.array_equal(grads2[path], grads1[path]), path
+
+
+def test_loss_columns_outside_the_sequence_are_rejected():
+    w = init_model(CFG, seed=0).astype(np.float64)
+    for columns in ([-1], [10]):
+        batch = TrainBatch(
+            embeds=np.zeros((1, 10, CFG.d_model)), positions=np.arange(10),
+            mask=np.tril(np.ones((10, 10), bool)), loss_pos=np.array([columns]),
+            targets=np.array([[3]]),
+        )
+        with pytest.raises(ShapeError):
+            batch_loss(w, batch)
 
 
 def test_adam_single_step():
@@ -317,31 +355,33 @@ def test_stage_guards():
 
 def test_trainer_forward_equals_engine_forward():
     # one model definition: at float64 the batched trainer and the engine's
-    # forward_step on a fresh cache give the same logits, bit for bit
-    config = ModelConfig(**{**CFG.to_dict(), "layers": 2})
+    # forward_step on a fresh cache, caching no row and reading the loss
+    # columns, plan the same rows and give the same logits, bit for bit
     layout = SegmentLayout(
         system=len(TASK.system_ids),
-        frame_sizes=(config.tokens_per_frame,) * TASK.frames_per_stream,
+        frame_sizes=(CFG2.tokens_per_frame,) * TASK.frames_per_stream,
         text=TASK.text_len(),
     )
-    spec = build_semantic_mask(layout)
-    for seed in range(3):
+    for carrier_mode, stage, seed in itertools.product(["mean", "last_token"], [1, 2], range(3)):
+        config = ModelConfig(**{**CFG2.to_dict(), "carrier_mode": carrier_mode})
         rng = np.random.default_rng(seed)
         w64 = init_model(config, seed=seed).astype(np.float64)
-        for lw in w64.layers:
-            for name, (a, b) in lw.adapters.items():
-                lw.adapters[name] = (a, rng.normal(0.0, 0.4, size=b.shape))
+        _random_adapters(w64, rng)
         stub = init_stub(TASK, config, seed=seed).astype(np.float64)
         plans = [make_plan(TASK, config, rng) for _ in range(3)]
-        batch = build_batch(w64, stub, TASK, plans, stage=2)
-        assert np.array_equal(batch.mask, spec.allow)
+        batch = build_batch(w64, stub, TASK, plans, stage=stage)
+        if stage == 2:
+            assert np.array_equal(batch.mask, build_semantic_mask(layout).allow)
         logits, _, _ = forward_train(w64, batch, want_tape=False)
         assert logits.dtype == np.float64
+        assert logits.shape == (len(plans), TASK.questions_per_stream, config.vocab_size)
+        uncached = ["frame"] * batch.embeds.shape[1]  # a tag the cache never keeps
         for i in range(len(plans)):
             engine = forward_step(
-                w64, KvCache(config), batch.embeds[i], batch.positions, spec.allow, list(spec.tags)
+                w64, KvCache(config), batch.embeds[i], batch.positions, batch.mask, uncached,
+                logit_rows=batch.loss_pos[i],
             )
-            assert np.array_equal(logits[i], engine), (seed, i)
+            assert np.array_equal(logits[i], engine), (carrier_mode, stage, seed, i)
 
 
 def test_grad_check_small():
@@ -359,3 +399,193 @@ def test_evaluate_recall_bounds_and_question_count():
     assert 0.0 <= acc <= 1.0
     acc1 = evaluate_recall(w, stub, TASK, CFG, streams=3, seed=11, questions=1)
     assert 0.0 <= acc1 <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the planned trainer against a full-row reference
+# ---------------------------------------------------------------------------
+
+
+def _full_row_loss_and_grads(w, batch):
+    """(loss, grads of every path backward owns, d-embeddings) from a
+    forward and backward that run every row through every layer and
+    compute every row's logits; the loss gradient is scattered into the
+    (b, s, V) logits at the loss columns. The reference for the trainer,
+    which runs only the rows the loss reads."""
+    config = w.config
+    b, s, d = batch.embeds.shape
+    heads, dk = config.heads, config.head_dim
+
+    def split(y):
+        return y.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(y):
+        return y.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    x = embed_positions(batch.embeds, w.pos_emb, batch.positions)
+    tape = []
+    for lw in w.layers:
+        a = layer_norm(x, lw.ln1_g, lw.ln1_b)
+        qh, kh, vh = (split(_project(a, lw, name)) for name in ("wq", "wk", "wv"))
+        oh, probs = attention_core(qh, kh, vh, batch.mask)
+        x1 = x + _project(merge(oh), lw, "wo")
+        f_in = layer_norm(x1, lw.ln2_g, lw.ln2_b)
+        h_pre = f_in @ lw.w1
+        tape.append((x, a, qh, kh, vh, probs, merge(oh), x1, f_in, h_pre))
+        x = x1 + gelu(h_pre) @ lw.w2
+    logits = x @ w.unembed
+
+    at = (np.arange(b)[:, None], batch.loss_pos)
+    z = logits[at] - logits[at].max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    picked = (np.arange(b)[:, None], np.arange(batch.loss_pos.shape[1])[None, :], batch.targets)
+    loss = float(-logp[picked].mean())
+    dz = np.exp(logp)
+    dz[picked] -= 1.0
+    dz /= dz.shape[0] * dz.shape[1]
+    dlogits = np.zeros_like(logits)
+    dlogits[at] = dz
+
+    every = lambda path: True  # noqa: E731
+    grads = {"unembed": x.reshape(-1, d).T @ dlogits.reshape(-1, config.vocab_size)}
+    dx = dlogits @ w.unembed.T
+    for layer in range(config.layers - 1, -1, -1):
+        lw, p = w.layers[layer], f"layers.{layer}."
+        x_in, a, qh, kh, vh, probs, o, x1, f_in, h_pre = tape[layer]
+        grads[p + "w2"] = gelu(h_pre).reshape(-1, config.ff_dim).T @ dx.reshape(-1, d)
+        dh = (dx @ lw.w2.T) * gelu_grad(h_pre)
+        grads[p + "w1"] = f_in.reshape(-1, d).T @ dh.reshape(-1, config.ff_dim)
+        dx1 = dx + _ln_backward(dh @ lw.w1.T, x1, lw.ln2_g, grads, p + "ln2_", every)
+        doh = split(_proj_backward(dx1, o, lw, "wo", grads, p, every))
+        dprobs = doh @ vh.swapaxes(-1, -2)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) / np.sqrt(dk)
+        d_a = sum(
+            _proj_backward(merge(g), a, lw, name, grads, p, every)
+            for g, name in ((dscores @ kh, "wq"), (dscores.swapaxes(-1, -2) @ qh, "wk"),
+                            (probs.swapaxes(-1, -2) @ doh, "wv"))
+        )
+        dx = dx1 + _ln_backward(d_a, x_in, lw.ln1_g, grads, p + "ln1_", every)
+    grads["pos_emb"] = np.zeros_like(w.pos_emb)
+    np.add.at(grads["pos_emb"], batch.positions, dx.sum(axis=0))
+    return loss, grads, dx
+
+
+def _near(got, expect, rel):
+    """Max |got - expect| within `rel` of expect's largest magnitude."""
+    return np.abs(got - expect).max() <= rel * max(np.abs(expect).max(), 1e-300)
+
+
+# the criterion-8 shape and task
+TRAIN_CFG = ModelConfig(
+    layers=2, heads=4, d_model=64, ff_dim=128, vocab_size=32,
+    max_positions=96, tokens_per_frame=4, memory_capacity=16, adapter_rank=4,
+)
+TRAIN_TASK = TaskSpec(frames_per_stream=8, alphabet=16, questions_per_stream=8, noise_scale=0.05)
+
+
+def _train64(w64, stub64, stage, seed, steps, loss_and_grads):
+    """The trainer's loop (`_run_training`) at float64 on w64 and stub64,
+    in place, with each step's loss, gradients and d-embeddings from
+    `loss_and_grads(weights, batch, paths)`; returns the losses, which
+    are what the trainer logs."""
+    paths = trainable_paths(w64, stage)
+    params = {p: (stub64 if p == "stub" else get_param(w64, p)) for p in paths}
+    cfg = TrainConfig(stage=stage, steps=steps, batch_size=16, lr=3e-3,
+                      beta2=0.999 if stage == 1 else 0.95, seed=seed)
+    opt = Optimizer(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    losses = []
+    for _ in range(steps):
+        plans = [make_plan(TRAIN_TASK, w64.config, rng) for _ in range(cfg.batch_size)]
+        batch = build_batch(w64, stub64, TRAIN_TASK, plans, stage)
+        loss, grads, d_embeds = loss_and_grads(w64, batch, paths)
+        _assemble_grads(w64, stub64, batch, grads, d_embeds, wanted=paths)
+        opt.step(params, grads)
+        losses.append(loss)
+    return losses
+
+
+@pytest.mark.parametrize("carrier_mode", ["mean", "last_token"])
+def test_planned_training_tracks_the_full_row_trajectory(carrier_mode):
+    # The trainer runs only the rows the loss reads, which sums the same
+    # terms as the full-row reference in another order. Tolerances, fixed
+    # before measuring: every logged loss within 1e-10 relative, and the
+    # final float64 weights and stub within 1e-8, after 20 stage-1 and 20
+    # stage-2 steps at the criterion-8 shape.
+    config = ModelConfig(**{**TRAIN_CFG.to_dict(), "carrier_mode": carrier_mode})
+    planned = lambda w, batch, paths: batch_loss_and_grads(w, batch, wanted=paths)[:3]  # noqa: E731
+    full = lambda w, batch, paths: _full_row_loss_and_grads(w, batch)  # noqa: E731
+    for seed in range(3):
+        w0 = init_model(config, seed=seed)
+        stub0 = init_stub(TRAIN_TASK, config, seed=seed)
+        sides = []
+        for loss_and_grads in (planned, full):
+            w64, stub64 = w0.astype(np.float64), stub0.astype(np.float64)
+            losses = [_train64(w64, stub64, stage, seed, 20, loss_and_grads) for stage in (1, 2)]
+            sides.append((np.concatenate(losses), w64, stub64))
+        (got, w_got, stub_got), (ref, w_ref, stub_ref) = sides
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), (seed, np.abs(got / ref - 1).max())
+        for (path, a), (_, b) in zip(iter_params(w_got), iter_params(w_ref)):
+            assert np.abs(a - b).max() <= 1e-8, (seed, path)
+        assert np.abs(stub_got - stub_ref).max() <= 1e-8, seed
+
+
+def _hand_batch(config, loss_pos, seed):
+    """Random streams over a two-frame semantic layout, with the given
+    (b, q) loss columns and random targets."""
+    rng = np.random.default_rng(seed)
+    layout = SegmentLayout(system=2, frame_sizes=(3, 3), text=5)
+    s = layout.total
+    loss_pos = np.array(loss_pos)
+    return TrainBatch(
+        embeds=rng.standard_normal((loss_pos.shape[0], s, config.d_model)) * 0.5,
+        positions=np.arange(s),
+        mask=build_semantic_mask(layout).allow,
+        loss_pos=loss_pos,
+        targets=rng.integers(0, config.vocab_size, size=loss_pos.shape),
+    )
+
+
+def test_streams_with_different_loss_columns_match_their_own_batches():
+    # the batch plans the union of its streams' loss columns; each stream
+    # must come out as it does in a batch of its own
+    w = init_model(CFG2, seed=9).astype(np.float64)
+    _random_adapters(w, np.random.default_rng(9))
+    batch = _hand_batch(CFG2, [[9, 12], [11, 14], [3, 12]], seed=9)
+    loss, grads, d_embeds, _ = batch_loss_and_grads(w, batch)
+    b = batch.loss_pos.shape[0]
+    singles = [
+        batch_loss_and_grads(w, TrainBatch(
+            embeds=batch.embeds[i : i + 1], positions=batch.positions, mask=batch.mask,
+            loss_pos=batch.loss_pos[i : i + 1], targets=batch.targets[i : i + 1],
+        ))
+        for i in range(b)
+    ]
+    assert loss == pytest.approx(np.mean([one[0] for one in singles]), rel=1e-12)
+    assert set(grads) == set(singles[0][1])
+    for path in grads:
+        assert _near(grads[path], sum(one[1][path] for one in singles) / b, 1e-12), path
+    for i, one in enumerate(singles):
+        assert _near(d_embeds[i], one[2][0] / b, 1e-12), i
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_rows_outside_the_plan_get_exactly_zero_input_gradient(layers):
+    config = ModelConfig(**{**CFG.to_dict(), "layers": layers})
+    w = init_model(config, seed=3).astype(np.float64)
+    _random_adapters(w, np.random.default_rng(3))
+    batch = _hand_batch(config, [[8, 11], [11, 10]], seed=3)
+    s = batch.embeds.shape[1]
+    read = np.zeros(s, dtype=bool)
+    read[batch.loss_pos] = True
+    ran = _row_plan(batch.mask, np.zeros(s, dtype=bool), read, layers)[0].inputs
+    assert not ran.all()  # rows after the last loss row, and with one layer the frame rows
+    loss, grads, d_embeds, _ = batch_loss_and_grads(w, batch)
+    assert np.all(d_embeds[:, ~ran] == 0.0)
+    assert np.all(np.abs(d_embeds[:, ran]).max(axis=(0, 2)) > 0.0)  # in some stream
+    ref_loss, ref_grads, ref_d = _full_row_loss_and_grads(w, batch)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert _near(d_embeds, ref_d, 1e-12)
+    assert set(grads) == set(ref_grads)
+    for path in grads:
+        assert _near(grads[path], ref_grads[path], 1e-12), path
